@@ -63,7 +63,8 @@ def suite_environment() -> Dict[str, object]:
 
 @dataclass
 class BenchOutcome:
-    """One worker's (or inline run's) per-benchmark accounting."""
+    """One benchmark's accounting: its pipeline's wall time and stage
+    tallies, from a worker or from the inline (``jobs=1``) runner."""
 
     bench: str
     wall_seconds: float
@@ -98,6 +99,7 @@ class SuiteReport:
     #: bench -> core count (as str, JSON keys) -> speedup.
     speedups: Dict[str, Dict[str, float]] = field(default_factory=dict)
     geomeans: Dict[str, float] = field(default_factory=dict)
+    #: Per-benchmark outcomes, in suite order (both ``jobs`` paths).
     benches: List[BenchOutcome] = field(default_factory=list)
     #: Aggregated stage counters: parent runner + all workers.
     stages: Dict[str, dict] = field(default_factory=dict)
@@ -172,6 +174,56 @@ def _run_bench(
     # process never double-reports counts from an earlier benchmark.
     payload["metrics"] = metrics_delta(metrics_before, REGISTRY.snapshot())
     return payload
+
+
+def _stage_delta(before: Dict[str, dict], after: Dict[str, dict]) -> Dict[str, dict]:
+    """Stage tallies accrued between two :meth:`StageStats.as_dict`
+    snapshots of one runner (rows that did not move are dropped)."""
+    delta: Dict[str, dict] = {}
+    for stage, row in after.items():
+        old = before.get(stage, {})
+        moved = {key: value - old.get(key, 0) for key, value in row.items()}
+        if any(moved.values()):
+            delta[stage] = moved
+    return delta
+
+
+def _run_inline(runner: EvaluationRunner, report: "SuiteReport") -> None:
+    """Run every benchmark's pipeline on the parent runner, recording
+    one :class:`BenchOutcome` each (the ``jobs=1`` counterpart of the
+    worker pool; Figure 9 then finds every pipeline memoized)."""
+    for bench in runner.benches():
+        before = runner.stats.as_dict()
+        start = time.perf_counter()
+        run = runner.helix_run(bench)
+        report.benches.append(
+            BenchOutcome(
+                bench=bench,
+                wall_seconds=time.perf_counter() - start,
+                output_matches=run.output_matches,
+                stages=_stage_delta(before, runner.stats.as_dict()),
+            )
+        )
+
+
+def _merge_stages(
+    report: "SuiteReport", runner: EvaluationRunner, workers: bool
+) -> None:
+    """Fill ``report.stages`` (and its ``analyses`` view): the parent
+    runner's tallies plus, when the benchmarks ran in ``workers``, each
+    worker's.  Inline outcomes are already part of the parent's."""
+    stats = StageStats()
+    if workers:
+        for outcome in report.benches:
+            stats.merge(outcome.stages)
+    stats.merge(runner.stats.as_dict())
+    report.stages = stats.as_dict()
+    prefix = "analysis:"
+    report.analyses = {
+        stage[len(prefix):]: data
+        for stage, data in report.stages.items()
+        if stage.startswith(prefix)
+    }
 
 
 class SuiteInterrupted(Exception):
@@ -286,20 +338,12 @@ def run_suite(
                     ):
                         consume(future.result())
                 raise
+        else:
+            _run_inline(runner, report)
 
         fig9 = figures.figure9(runner)
 
-        stats = StageStats()
-        for outcome in report.benches:
-            stats.merge(outcome.stages)
-        stats.merge(runner.stats.as_dict())
-        report.stages = stats.as_dict()
-        prefix = "analysis:"
-        report.analyses = {
-            stage[len(prefix):]: data
-            for stage, data in report.stages.items()
-            if stage.startswith(prefix)
-        }
+        _merge_stages(report, runner, workers=jobs > 1)
         report.speedups = {
             bench: {str(cores): speedup for cores, speedup in row.items()}
             for bench, row in fig9.speedups.items()
@@ -331,11 +375,7 @@ def run_suite(
         # Partial accounting still gets written: merge the stage
         # counters of whatever completed and hand the report back on
         # the exception (the CLI persists it before exiting 130).
-        stats = StageStats()
-        for outcome in report.benches:
-            stats.merge(outcome.stages)
-        stats.merge(runner.stats.as_dict())
-        report.stages = stats.as_dict()
+        _merge_stages(report, runner, workers=jobs > 1)
         report.interrupted = True
         report.wall_seconds = time.perf_counter() - start
         raise SuiteInterrupted(report) from None

@@ -31,19 +31,26 @@ effects`` loop per block.  This module removes those too:
   instruction.
 * **Hooked tier** -- ``compile_superblocks(..., hooked=True)`` emits a
   hook-aware variant for instrumented runs (the profiler and
-  :class:`~repro.runtime.parallel.ParallelExecutor`):
-  ``on_block_entry`` is called at every fused-block boundary with the
-  same arguments, order and exact ``cycles`` as the decoded hooked
-  variant, WAIT/SIGNAL/NEXT_ITER route through ``exec_sync`` and XFER
-  through ``exec_xfer`` at segment boundaries, and ``count_loads``
-  becomes a static per-segment ``load_count`` increment.  Because a
-  hook may *rewrite* ``interp.cycles`` (the parallel executor replaces
-  serial with scheduled-parallel time at loop exits), generated code
-  only ever charges through the interpreter attribute and never caches
-  cycle state in locals across a hook call.  Hooks receive the tier-2
+  :class:`~repro.runtime.parallel.ParallelExecutor`), specialized on
+  the interpreter's *probe sites* for the function
+  (:meth:`~repro.runtime.interpreter.Interpreter.probes_for`).  Only a
+  boundary into a probe site closes the running segment and calls
+  ``on_block_entry``, with the same arguments, order and exact
+  ``cycles`` as the decoded hooked variant; every other fused boundary
+  charges like the uninstrumented tier, and a function without probe
+  sites binds no hook at all.  Without declared probe sites every
+  block is one (the every-block shape).  ``count_blocks`` compiles to
+  one ``__bc[k] += 1`` per boundary into the interpreter's shared
+  counter list, buffered into the running segment.  WAIT/SIGNAL/
+  NEXT_ITER route through ``exec_sync`` and XFER through ``exec_xfer``
+  at segment boundaries, and ``count_loads`` becomes a static
+  per-segment ``load_count`` increment.  Because a hook may *rewrite*
+  ``interp.cycles`` (the parallel executor replaces serial with
+  scheduled-parallel time at loop exits), generated code only ever
+  charges through the interpreter attribute and never caches cycle
+  state in locals across a hook call.  Hooks receive the tier-2
   :class:`~repro.runtime.precompile.DecodedFrame` and must not inspect
-  register state (true of every in-tree consumer); listener-bearing
-  interpreters still demote to the decoded hooked variant.
+  register state (true of every in-tree consumer).
 * **Exactness fallback** -- output, cycle and instruction counts,
   ``RuntimeFault`` messages and ``ExecutionLimitExceeded`` behavior are
   bit-identical to the tree-walker.  Each dispatch arm only runs when
@@ -70,8 +77,8 @@ effects`` loop per block.  This module removes those too:
 key, payload)`` -- in practice :class:`repro.artifacts.ArtifactStore`),
 generated source and bytecode are content-addressed under the
 ``"codegen"`` kind and keyed by :data:`CODEGEN_VERSION`, the function's
-printed IR, the hook flags, the module's global-region sizes and
-function set, the cost-model parameters and the function's
+printed IR, the hook flags and probe sites, the module's global-region
+sizes and function set, the cost-model parameters and the function's
 block-profile projection -- everything the emitted source can embed as
 a literal.  A warm hit re-binds the stored namespace manifest against
 the live interpreter and skips formation, rendering *and* ``compile()``
@@ -108,7 +115,7 @@ import json
 import marshal
 import re
 import sys
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.ir import Function, Instruction, Opcode
 from repro.ir.operands import Const, Symbol, VReg
@@ -141,7 +148,7 @@ MAX_CHAIN_BLOCKS = 64
 #: Version of the generated-code layout and namespace manifest.  Bump on
 #: ANY change to emitted source shape, bind kinds or driver protocol:
 #: it is the only guard between old cached artifacts and new code.
-CODEGEN_VERSION = 3
+CODEGEN_VERSION = 4
 
 #: Artifact-store kind for cached generated code.
 CODEGEN_KIND = "codegen"
@@ -349,6 +356,7 @@ class SuperblockFunction:
     __slots__ = (
         "func", "nslots", "param_slots", "entry", "blocks", "run",
         "heads", "lazy", "source", "hooked", "count_loads",
+        "entry_probe", "counts", "entry_index",
     )
 
     def __init__(
@@ -364,6 +372,8 @@ class SuperblockFunction:
         source: str,
         hooked: bool = False,
         count_loads: bool = False,
+        probes: Optional[FrozenSet[str]] = None,
+        counts: Optional[List[int]] = None,
     ) -> None:
         self.func = func
         self.nslots = nslots
@@ -380,13 +390,31 @@ class SuperblockFunction:
         self.source = source
         self.hooked = hooked
         self.count_loads = count_loads
+        #: Hooked tier: the activation-entry instrumentation the driver
+        #: runs (announce the entry block when it is a probe site; bump
+        #: ``counts[entry_index]`` when counting blocks).
+        self.entry_probe = probes is None or func.entry.name in probes
+        self.counts = counts
+        self.entry_index = list(func.blocks).index(func.entry.name)
 
 
-def _base_namespace(interp, func: Function, lazy: _LazyDecode) -> Dict[str, object]:
+def _hook_spec(interp, func: Function, hooked: bool):
+    """(probe sites, block counters) a hooked compile specializes on."""
+    if not hooked:
+        return None, None
+    counts = interp.block_counter(func) if interp.count_blocks else None
+    return interp.probes_for(func), counts
+
+
+def _base_namespace(
+    interp, func: Function, lazy: _LazyDecode,
+    counts: Optional[List[int]] = None,
+) -> Dict[str, object]:
     """Globals of the generated module: runtime objects pre-bound under
     stable dunder names (identical for fresh builds and warm artifact
     instantiations)."""
     return {
+        "__BC": counts,
         "__I": interp,
         "__U": _UNDEF,
         "__undef": _undef,
@@ -440,6 +468,10 @@ class _FunctionCodegen:
         self.func = func
         self.hooked = hooked
         self.count_loads = hooked and count_loads
+        self.probes, self.counts = _hook_spec(interp, func, hooked)
+        self.count_blocks = self.counts is not None
+        #: Block name -> index into the block-entry counters.
+        self.block_index = {name: i for i, name in enumerate(func.blocks)}
         self.slot_map = allocate_slots(func)
         self.cost_model = interp.cost_model
         self.specialized = 0
@@ -450,7 +482,9 @@ class _FunctionCodegen:
         self.touched_slots: Tuple[int, ...] = ()
         self.write_slots: Tuple[int, ...] = ()
         self.lazy = _LazyDecode(interp, func, hooked, self.count_loads)
-        self.ns: Dict[str, object] = _base_namespace(interp, func, self.lazy)
+        self.ns: Dict[str, object] = _base_namespace(
+            interp, func, self.lazy, self.counts
+        )
         self._binds: Dict[Tuple[str, int], str] = {}
         #: Ordered reconstruction manifest: (name, kind, payload) per
         #: bound object, enough to re-bind against a fresh interpreter
@@ -464,6 +498,10 @@ class _FunctionCodegen:
                 for arg in instr.args:
                     if isinstance(arg, VReg):
                         self.uses[arg.uid] = self.uses.get(arg.uid, 0) + 1
+
+    def observes(self, name: str) -> bool:
+        """Whether entering block ``name`` calls ``on_block_entry``."""
+        return self.hooked and (self.probes is None or name in self.probes)
 
     def bind(self, prefix: str, obj, spec: Tuple[str, object]) -> str:
         """Expose ``obj`` to the generated code under a memoized name.
@@ -557,8 +595,10 @@ class _FunctionCodegen:
             "def __sb(frame, __limit, st):",
             "    __i = __I",
         ]
-        if self.hooked:
+        if self.hooked and (self.probes is None or self.probes):
             head.append("    __obe = __i.on_block_entry")
+        if self.count_blocks:
+            head.append("    __bc = __BC")
         head.append("    s = frame.slots")
         for slot in self.touched_slots:
             head.append(f"    r{slot} = s[{slot}]")
@@ -609,6 +649,8 @@ class _FunctionCodegen:
             source,
             self.hooked,
             self.count_loads,
+            self.probes,
+            self.counts,
         )
 
     def artifact(self, sfunc: SuperblockFunction) -> dict:
@@ -626,6 +668,8 @@ class _FunctionCodegen:
             "function": self.func.name,
             "hooked": self.hooked,
             "count_loads": self.count_loads,
+            "probes": _probe_list(self.probes),
+            "count_blocks": self.count_blocks,
             "chains": [list(chain) for chain in self.chains],
             "max_instructions": [
                 sfunc.blocks[chain[0]].max_instructions
@@ -687,13 +731,16 @@ class _ChainEmitter:
     :func:`finish_decoded` (or :func:`finish_hooked`) when the limit
     could expire before the chain ends.
 
-    In hooked mode, segments additionally close at every fused-block
-    boundary (so ``on_block_entry`` observes exact counters, in the
-    decoded hooked variant's exact call order) and at every sync/xfer
-    opcode (charged through the op before ``exec_sync``/``exec_xfer``
-    runs, matching tier 2's segment-final placement), and each closed
-    segment statically bumps ``load_count`` by its LOADG/LOADP count
-    when the interpreter counts loads.
+    In hooked mode, segments additionally close at every fused boundary
+    into a probe site (so ``on_block_entry`` observes exact counters, in
+    the decoded hooked variant's exact call order) and at every
+    sync/xfer opcode (charged through the op before
+    ``exec_sync``/``exec_xfer`` runs, matching tier 2's segment-final
+    placement), and each closed segment statically bumps
+    ``load_count`` by its LOADG/LOADP count when the interpreter counts
+    loads.  Block-entry counts need no exact counters, so a fused
+    boundary into a non-probe block only buffers its ``__bc[k] += 1``
+    into the running segment.
     """
 
     def __init__(
@@ -780,8 +827,13 @@ class _ChainEmitter:
         """Bound BasicBlock object (hook-call argument)."""
         return self.g.bind("bb", self.blocks[name], ("bb", name))
 
-    def emit_hook(self, prev_name: str, next_name: str, extra: str = "") -> None:
-        """``on_block_entry`` at a fused boundary.
+    def count_line(self, name: str) -> str:
+        return f"__bc[{self.g.block_index[name]}] += 1"
+
+    def entry_lines(self, prev_name: str, next_name: str) -> List[str]:
+        """Block-entry instrumentation at a boundary whose segment is
+        closed: the entry count, then ``on_block_entry`` when the
+        target is a probe site.
 
         ``__obe`` is bound from the interpreter attribute once per
         activation (so instance-level overrides installed before the
@@ -791,11 +843,19 @@ class _ChainEmitter:
         observed at the next activation, exactly like a mid-activation
         backend switch.
         """
-        self.emit(
-            f"__obe(frame, {self.bb(prev_name)}, "
-            f"{self.bb(next_name)})",
-            extra,
-        )
+        lines = []
+        if self.g.count_blocks:
+            lines.append(self.count_line(next_name))
+        if self.g.observes(next_name):
+            lines.append(
+                f"__obe(frame, {self.bb(prev_name)}, "
+                f"{self.bb(next_name)})"
+            )
+        return lines
+
+    def emit_entry(self, prev_name: str, next_name: str, extra: str = "") -> None:
+        for line in self.entry_lines(prev_name, next_name):
+            self.emit(line, extra)
 
     # -- operand access ------------------------------------------------------
 
@@ -947,18 +1007,16 @@ class _ChainEmitter:
         out = self.lines
         ind = self.indent + extra
         if self.loop_form and target == self.chain[0]:
-            # Back edge: announce the head re-entry (hooked), then the
-            # next iteration re-charges the full linear body, so
-            # re-check it; over budget -> return this arm's index so
-            # the driver falls back (finish_hooked does not re-announce
-            # the current block, so the hook order stays exact).
-            # Registers stay in their locals across the iteration: only
-            # the over-budget return leaves the function and flushes.
-            if self.hooked:
-                out.append(
-                    f"{ind}__obe(frame, {self.bb(cur_name)}, "
-                    f"{self.bb(target)})"
-                )
+            # Back edge: count and announce the head re-entry
+            # (hooked), then the next iteration re-charges the full
+            # linear body, so re-check it; over budget -> return this
+            # arm's index so the driver falls back (finish_hooked does
+            # not re-announce the current block, so the hook order
+            # stays exact).  Registers stay in their locals across the
+            # iteration: only the over-budget return leaves the
+            # function and flushes.
+            for line in self.entry_lines(cur_name, target):
+                out.append(ind + line)
             out.append(f"{ind}__n = __i.instructions")
             out.append(f"{ind}if __n + {self.total} > __limit:")
             for slot in self.g.write_slots:
@@ -971,11 +1029,8 @@ class _ChainEmitter:
             # func.blocks[name] lookup (which fires before any hook).
             out.append(f"{ind}__fb[{target!r}]")
             return
-        if self.hooked:
-            out.append(
-                f"{ind}__obe(frame, {self.bb(cur_name)}, "
-                f"{self.bb(target)})"
-            )
+        for line in self.entry_lines(cur_name, target):
+            out.append(ind + line)
         # Chain transition: locals carry over, no flush -- just move
         # the dispatch loop to the target arm.  `continue` targets the
         # dispatch loop directly; loop-form arms `break` out of their
@@ -1342,11 +1397,14 @@ class _ChainEmitter:
         if op is Opcode.BR:
             target = instr.targets[0]
             if target == next_name:
-                if self.hooked:
-                    # Fused boundary: the hook must observe counters
-                    # through this BR, so the segment closes here.
+                if self.g.observes(target):
+                    # Fused boundary into a probe site: the hook must
+                    # observe counters through this BR, so the segment
+                    # closes here.
                     self.close_segment()
-                    self.emit_hook(cur_name, target)
+                    self.emit_entry(cur_name, target)
+                elif self.g.count_blocks:
+                    self.buf.append(self.count_line(target))
                 # Fast fused fallthrough: the charge folds into the
                 # running segment; no control flow is emitted at all.
                 return
@@ -1365,8 +1423,8 @@ class _ChainEmitter:
             self.g.specialized += 1
             if taken != next_name:
                 self.exit_lines(taken, "", cur_name)
-            elif self.hooked:
-                self.emit_hook(cur_name, taken)
+            else:
+                self.emit_entry(cur_name, taken)
             return
         else:
             expr = self.read(cond_op)
@@ -1376,13 +1434,11 @@ class _ChainEmitter:
         if t0 == next_name:
             self.emit(f"if not ({cond}):")
             self.exit_lines(t1, "    ", cur_name)
-            if self.hooked:
-                self.emit_hook(cur_name, t0)
+            self.emit_entry(cur_name, t0)
         elif t1 == next_name:
             self.emit(f"if {cond}:")
             self.exit_lines(t0, "    ", cur_name)
-            if self.hooked:
-                self.emit_hook(cur_name, t1)
+            self.emit_entry(cur_name, t1)
         else:
             self.emit(f"if {cond}:")
             self.exit_lines(t0, "    ", cur_name)
@@ -1500,17 +1556,25 @@ def _resolve_bind(interp, func: Function, vregs, kind, spec):
     raise KeyError(f"unknown bind kind {kind!r}")
 
 
+def _probe_list(probes: Optional[FrozenSet[str]]) -> Optional[List[str]]:
+    """JSON form of a probe set (``None``: every block)."""
+    return None if probes is None else sorted(probes)
+
+
 def _instantiate(
     interp, func: Function, hooked: bool, count_loads: bool, payload: dict
 ) -> Optional[SuperblockFunction]:
     """Replay a cached compile against a live interpreter, or None when
     the payload does not fit this function/interpreter (caller falls
     back to a fresh build)."""
+    probes, counts = _hook_spec(interp, func, hooked)
     if (
         payload.get("codegen") != CODEGEN_VERSION
         or payload.get("function") != func.name
         or bool(payload.get("hooked")) != bool(hooked)
         or bool(payload.get("count_loads")) != bool(hooked and count_loads)
+        or payload.get("probes") != _probe_list(probes)
+        or bool(payload.get("count_blocks")) != (counts is not None)
     ):
         return None
     chains = [list(chain) for chain in payload["chains"]]
@@ -1525,7 +1589,7 @@ def _instantiate(
     ):
         return None
     lazy = _LazyDecode(interp, func, hooked, hooked and count_loads)
-    ns = _base_namespace(interp, func, lazy)
+    ns = _base_namespace(interp, func, lazy, counts)
     sblocks: Dict[str, Superblock] = {}
     for chain, max_instructions in zip(chains, payload["max_instructions"]):
         sb = Superblock()
@@ -1560,6 +1624,8 @@ def _instantiate(
         source,
         hooked,
         hooked and count_loads,
+        probes,
+        counts,
     )
 
 
@@ -1569,16 +1635,18 @@ def artifact_key(interp, func: Function, hooked: bool,
 
     Covers everything the emitted source can embed as a literal: the
     codegen layout version, the function's printed IR (opcodes,
-    operands, local sizes), the hook flags, the module's global-region
-    sizes and known-function set, the cost model (cycle charges are
-    literals in the source) and the block-profile projection for this
-    function (chain formation is trace guided).  Machine fields the
+    operands, local sizes), the hook flags and the function's probe
+    sites, the module's global-region sizes and known-function set,
+    the cost model (cycle charges are literals in the source) and the
+    block-profile projection for this function (chain formation is
+    trace guided).  Machine fields the
     source never sees -- core counts, latencies -- are deliberately
     excluded, so jobs differing only in those share warm codegen.
     """
     from repro.ir.printer import function_to_str
 
     cost_model = interp.cost_model
+    probes, counts = _hook_spec(interp, func, hooked)
     profile = interp.block_profile
     projection = None
     if profile:
@@ -1593,6 +1661,8 @@ def artifact_key(interp, func: Function, hooked: bool,
         "ir": function_to_str(func),
         "hooked": bool(hooked),
         "count_loads": bool(hooked and count_loads),
+        "probes": _probe_list(probes),
+        "count_blocks": counts is not None,
         "globals": sorted(
             (name, len(init))
             for name, init in interp.module.global_inits.items()
@@ -1620,10 +1690,11 @@ def compile_superblocks(
 ) -> SuperblockFunction:
     """Form, generate and compile all superblocks of ``func``.
 
-    With ``hooked=True`` the generated chains call ``on_block_entry`` /
-    ``exec_sync`` / ``exec_xfer`` at the decoded hooked variant's exact
-    observation points (and statically count loads when ``count_loads``
-    is set).  When the interpreter carries a ``codegen_cache``, the
+    With ``hooked=True`` the generated chains call ``on_block_entry``
+    (at the interpreter's probe sites) / ``exec_sync`` / ``exec_xfer``
+    at the decoded hooked variant's exact observation points, count
+    block entries when the interpreter sets ``count_blocks``, and
+    statically count loads when ``count_loads`` is set.  When the interpreter carries a ``codegen_cache``, the
     compile is content-addressed: a warm hit replays the stored source
     and namespace manifest and skips formation, rendering and (when the
     Python version matches) ``compile()`` entirely.
@@ -1682,16 +1753,21 @@ def execute_hooked_superblocks(
 ) -> object:
     """Run one hooked activation over compiled superblocks to its RET.
 
-    The activation-entry ``on_block_entry(frame, None, entry)`` is the
+    The activation-entry instrumentation -- the entry block's count and,
+    at a probe site, ``on_block_entry(frame, None, entry)`` -- is the
     driver's job (matching the decoded hooked variant); every later
-    boundary hook lives inside the generated code, so a budget
-    fallback resumes through :func:`finish_hooked` without re-announcing
-    the block the chains already entered.
+    boundary lives inside the generated code, so a budget fallback
+    resumes through :func:`finish_hooked` without re-announcing the
+    block the chains already entered.
     """
     limit = interp.max_instructions
     if limit is None:
         limit = _INF
-    interp.on_block_entry(frame, None, sfunc.func.entry)
+    counts = sfunc.counts
+    if counts is not None:
+        counts[sfunc.entry_index] += 1
+    if sfunc.entry_probe:
+        interp.on_block_entry(frame, None, sfunc.func.entry)
     st = sfunc.run(frame, limit, 0)
     if st is None:
         return frame.ret

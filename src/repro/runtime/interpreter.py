@@ -31,16 +31,30 @@ by :meth:`Interpreter.call_function`):
   per-instruction closure calls entirely.
 
 Selection is automatic and always bit-identical to the tree-walker:
-uninstrumented runs use the superblock backend, listener/hook users
-(profiler, parallel executor) the decoded backend's hooked variant, and
-subclasses that override ``exec_instr``-level methods fall back to the
-tree-walker.
+uninstrumented runs use the superblock backend, hook users (profiler,
+parallel executor) its hooked tier, and subclasses that override
+``exec_instr``-level methods fall back to the tree-walker.
+
+An instrumented interpreter may declare **probe sites**
+(:attr:`Interpreter.probe_sites`): per function, the blocks whose entry
+it observes.  Every tier then calls :meth:`Interpreter.on_block_entry`
+only on entering those blocks, in the same order and with the same
+counters; declaring none keeps the every-block behaviour.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.ir import BasicBlock, Function, Instruction, Module, Opcode
 from repro.ir.operands import Const, Operand, Symbol, VReg
@@ -186,6 +200,9 @@ _TREE_FORCING = frozenset(
 #: which calls them at the same points as the tree-walker.
 _HOOK_FORCING = frozenset({"on_block_entry", "exec_sync", "exec_xfer"})
 
+#: The probe set of a function absent from ``probe_sites``.
+_NO_PROBES: FrozenSet[str] = frozenset()
+
 #: Backend modes resolved per activation.
 _BACKEND_TREE, _BACKEND_HOOKED, _BACKEND_FAST, _BACKEND_SUPER = 0, 1, 2, 3
 _BACKEND_HOOKED_SUPER = 4
@@ -203,16 +220,19 @@ _BACKEND_COUNTERS = (
 class Interpreter:
     """Executes a :class:`~repro.ir.Module` sequentially.
 
-    Subclasses (the parallel executor) may override :meth:`on_block_entry`
-    to observe control flow, and reuse :meth:`exec_instr` /
-    :meth:`eval_operand` to execute individual instructions.
+    Subclasses (the profiler, the parallel executor) may override
+    :meth:`on_block_entry` to observe control flow, and reuse
+    :meth:`exec_instr` / :meth:`eval_operand` to execute individual
+    instructions.  Such a subclass should declare :attr:`probe_sites`,
+    the blocks whose entry it acts on: every tier then calls the hook
+    only there, and the hooked superblock tier charges the remaining
+    fused boundaries like the uninstrumented tier.
 
     ``backend`` selects the execution engine: ``"auto"`` (default) uses
     the fastest backend that is bit-identical to the tree-walker (the
     superblock backend for uninstrumented runs, its *hooked* tier for
-    hook/``count_loads`` users, the decoded hooked variant for
-    listener-bearing runs) and falls back otherwise, ``"tree"`` always
-    tree-walks, while ``"decoded"`` and ``"superblock"`` pin the fast
+    hook, ``count_loads`` and ``count_blocks`` users) and falls back
+    otherwise, ``"tree"`` always tree-walks, while ``"decoded"`` and ``"superblock"`` pin the fast
     path to one engine family and assert that it is usable (raising
     ``ValueError`` for subclasses that override core execution
     methods).
@@ -255,15 +275,23 @@ class Interpreter:
         # limit comfortably under CPython's recursion limit so runaway
         # recursion surfaces as a clean RuntimeFault.
         self.max_call_depth = 200
-        #: Optional hooks; see the profiler for usage.
-        self.block_listener: Optional[
-            Callable[[str, Optional[str], str, int], None]
-        ] = None
-        self.call_listener: Optional[Callable[[str, bool, int], None]] = None
         #: Count LOADG/LOADP executions into :attr:`load_count` (the
         #: parallel executor prices data forwarding from this).
         self.count_loads = False
         self.load_count = 0
+        #: Count every block entry, whether or not it is a probe site,
+        #: into :meth:`block_counts` (the profiler's per-block counts).
+        self.count_blocks = False
+        #: Probe sites: function name -> names of the blocks whose entry
+        #: calls :meth:`on_block_entry` (a function absent from the
+        #: mapping has none).  ``None`` probes every block.  Compiled
+        #: code specializes on it, so set it before the first run.
+        self.probe_sites: Optional[Mapping[str, FrozenSet[str]]] = None
+        #: (name, version) -> (entry counts, block name -> index): the
+        #: block-entry counters every tier increments in place.
+        self._block_counters: Dict[
+            Tuple[str, int], Tuple[List[int], Dict[str, int]]
+        ] = {}
         self.backend = backend
         self.block_profile = dict(block_profile) if block_profile else None
         #: Optional content-addressed store for generated superblock
@@ -292,12 +320,14 @@ class Interpreter:
         # alongside the name: IR mutation bumps the version, so a
         # post-mutation activation can never execute stale decoded or
         # generated code.
-        #: (name, version, hooked, counting loads) -> DecodedFunction.
-        self._decoded: Dict[Tuple[str, int, bool, bool], object] = {}
+        #: (name, version, hooked, counting loads, probes, counting
+        #: blocks) -> DecodedFunction.
+        self._decoded: Dict[tuple, object] = {}
         #: (name, version) -> SuperblockFunction (uninstrumented tier).
         self._superblocks: Dict[Tuple[str, int], object] = {}
-        #: (name, version, counting loads) -> hooked SuperblockFunction.
-        self._hooked_superblocks: Dict[Tuple[str, int, bool], object] = {}
+        #: (name, version, counting loads, probes, counting blocks) ->
+        #: hooked SuperblockFunction.
+        self._hooked_superblocks: Dict[tuple, object] = {}
         # Imported here (not at module top) to break the import cycle;
         # by construction time repro.runtime is fully initialized.
         from repro.runtime import codegen, precompile
@@ -331,6 +361,46 @@ class Interpreter:
             return store
         return frame.local_region(symbol)
 
+    # -- instrumentation ---------------------------------------------------
+
+    def probes_for(self, func: Function) -> Optional[FrozenSet[str]]:
+        """The blocks of ``func`` whose entry calls :meth:`on_block_entry`
+        (``None``: every block)."""
+        sites = self.probe_sites
+        if sites is None:
+            return None
+        return sites.get(func.name, _NO_PROBES)
+
+    def _block_counter(
+        self, func: Function
+    ) -> Tuple[List[int], Dict[str, int]]:
+        key = (func.name, func.version)
+        entry = self._block_counters.get(key)
+        if entry is None:
+            index = {name: i for i, name in enumerate(func.blocks)}
+            entry = ([0] * len(index), index)
+            self._block_counters[key] = entry
+        return entry
+
+    def block_counter(self, func: Function) -> List[int]:
+        """``func``'s block-entry counts, indexed by declaration order.
+
+        One list per function version, shared by every tier and zeroed
+        in place at each :meth:`run`, so compiled code binds it once.
+        """
+        return self._block_counter(func)[0]
+
+    def block_counts(self) -> Dict[Tuple[str, str], int]:
+        """Entries per ``(function, block)`` of the last run (blocks
+        never entered are absent); needs :attr:`count_blocks`."""
+        counts: Dict[Tuple[str, str], int] = {}
+        for (fname, _version), (values, index) in self._block_counters.items():
+            for name, count in zip(index, values):
+                if count:
+                    key = (fname, name)
+                    counts[key] = counts.get(key, 0) + count
+        return counts
+
     # -- running -----------------------------------------------------------
 
     def run(self, entry: str = "main", args: Sequence = ()) -> ExecutionResult:
@@ -342,6 +412,8 @@ class Interpreter:
         # so re-running the same instance never trips the limit early.
         self.call_depth = 0
         self.reset_memory()
+        for values, _index in self._block_counters.values():
+            values[:] = [0] * len(values)
         # Count the backend this run selects, once per run -- never per
         # activation, which is the hot path.
         REGISTRY.inc(_BACKEND_COUNTERS[self._backend_mode()])
@@ -364,17 +436,13 @@ class Interpreter:
         """
         if self._force_tree or not _TREE_FORCING.isdisjoint(self.__dict__):
             return _BACKEND_TREE
-        if self.block_listener is not None or self.call_listener is not None:
-            # Listeners observe *every* block entry and call edge;
-            # fused chains cannot honor that, so demote to the decoded
-            # hooked variant.
-            return _BACKEND_HOOKED
         if (
             self._class_hooked
             or self.count_loads
+            or self.count_blocks
             or not _HOOK_FORCING.isdisjoint(self.__dict__)
         ):
-            # Hook overrides and load counting run on the hooked
+            # Hook overrides and load/block counting run on the hooked
             # superblock tier (same observation points, fused chains),
             # unless pinned to the decoded engine.
             if self.backend == "decoded":
@@ -394,8 +462,6 @@ class Interpreter:
         self.call_depth += 1
         if self.call_depth > self.max_call_depth:
             raise RuntimeFault("call depth limit exceeded")
-        if self.call_listener is not None:
-            self.call_listener(func.name, True, self.cycles)
         mode = self._backend_mode()
         if mode == _BACKEND_SUPER:
             value = self._call_super(func, args)
@@ -405,8 +471,6 @@ class Interpreter:
             value = self._call_tree(func, args)
         else:
             value = self._call_decoded(func, args, mode == _BACKEND_HOOKED)
-        if self.call_listener is not None:
-            self.call_listener(func.name, False, self.cycles)
         self.call_depth -= 1
         return value
 
@@ -415,8 +479,16 @@ class Interpreter:
         frame = Frame(func)
         for param, value in zip(func.params, args):
             frame.regs[param.uid] = value
+        probes = self.probes_for(func)
+        counts: Optional[List[int]] = None
+        index: Dict[str, int] = {}
+        if self.count_blocks:
+            counts, index = self._block_counter(func)
         block = func.entry
-        self.on_block_entry(frame, None, block)
+        if counts is not None:
+            counts[index[block.name]] += 1
+        if probes is None or block.name in probes:
+            self.on_block_entry(frame, None, block)
         value = None
         while True:
             outcome = self.exec_block(frame, block)
@@ -424,7 +496,10 @@ class Interpreter:
                 value = outcome[1]
                 break
             next_block = func.blocks[outcome[1]]
-            self.on_block_entry(frame, block, next_block)
+            if counts is not None:
+                counts[index[next_block.name]] += 1
+            if probes is None or next_block.name in probes:
+                self.on_block_entry(frame, block, next_block)
             block = next_block
         return value
 
@@ -436,7 +511,11 @@ class Interpreter:
         decode: a generated function that never diverts to tier-2 never
         triggers a decode at all.
         """
-        key = (func.name, func.version, hooked, hooked and count_loads)
+        key = (
+            func.name, func.version, hooked, hooked and count_loads,
+            self.probes_for(func) if hooked else None,
+            hooked and self.count_blocks,
+        )
         dfunc = self._decoded.get(key)
         if dfunc is None:
             dfunc = self._precompile.decode_function(
@@ -478,12 +557,16 @@ class Interpreter:
 
     def _call_hooked_super(self, func: Function, args: Sequence) -> object:
         """Hooked superblock activation: fused chains that call
-        ``on_block_entry`` / ``exec_sync`` / ``exec_xfer`` at the
-        decoded hooked variant's exact observation points, with
-        ``count_loads`` compiled to static per-segment increments."""
+        ``on_block_entry`` (at probe sites) / ``exec_sync`` /
+        ``exec_xfer`` at the decoded hooked variant's exact observation
+        points, with ``count_loads`` compiled to static per-segment
+        increments and ``count_blocks`` to per-boundary increments."""
         codegen = self._codegen
         count_loads = self.count_loads
-        key = (func.name, func.version, count_loads)
+        key = (
+            func.name, func.version, count_loads, self.probes_for(func),
+            self.count_blocks,
+        )
         sfunc = self._hooked_superblocks.get(key)
         if sfunc is None:
             sfunc = codegen.compile_superblocks(
@@ -499,14 +582,8 @@ class Interpreter:
     def on_block_entry(
         self, frame: Frame, prev: Optional[BasicBlock], block: BasicBlock
     ) -> None:
-        """Hook called on every block entry (including function entry)."""
-        if self.block_listener is not None:
-            self.block_listener(
-                frame.func.name,
-                prev.name if prev is not None else None,
-                block.name,
-                self.cycles,
-            )
+        """Hook called on entry to every probe site (every block,
+        function entry included, unless :attr:`probe_sites` is set)."""
 
     def exec_block(self, frame: Frame, block: BasicBlock) -> Tuple[str, object]:
         """Execute one block; returns ('ret', value) or ('jump', name)."""

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.loopnest import LoopId
 from repro.core.communication import is_producer_mark, xfer_words
@@ -254,16 +254,24 @@ class ParallelExecutor(Interpreter):
         )
         # Memory reads are priced by the data-forwarding model; every
         # backend counts them when this is set.  Under "auto" the
-        # *hooked superblock* tier is selected: fused chains observe
-        # block boundaries and sync/xfer ops at the decoded hooked
+        # *hooked superblock* tier is selected: fused chains observe the
+        # probe sites below and sync/xfer ops at the decoded hooked
         # variant's exact points, and compile load counting to static
         # per-segment increments.
         self.count_loads = True
         self.infos = list(infos)
         self.record_traces = record_traces
         self._by_preheader: Dict[Tuple[str, str], ParallelizedLoop] = {}
+        sites: Dict[str, Set[str]] = {}
         for info in self.infos:
             self._by_preheader[(info.func_name, info.par_preheader)] = info
+            sites.setdefault(info.func_name, set()).update(
+                (info.par_preheader, info.par_header, *info.exit_stubs)
+            )
+        # The only blocks on_block_entry acts on.
+        self.probe_sites = {
+            name: frozenset(blocks) for name, blocks in sites.items()
+        }
         self._inv: Optional[InvocationTrace] = None
         self._inv_info: Optional[ParallelizedLoop] = None
         self._inv_frame: Optional[Frame] = None
@@ -288,7 +296,6 @@ class ParallelExecutor(Interpreter):
     def on_block_entry(
         self, frame: Frame, prev: Optional[BasicBlock], block: BasicBlock
     ) -> None:
-        super().on_block_entry(frame, prev, block)
         if self._inv is None:
             info = self._by_preheader.get((frame.func.name, block.name))
             if info is not None:

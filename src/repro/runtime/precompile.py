@@ -33,11 +33,13 @@ once-per-:class:`~repro.ir.Function` *decode* step:
 
 Two variants are decoded on demand:
 
-* the **fast** variant (no listeners, no subclass hooks) runs no hook
-  code at all -- this is the uninstrumented oracle path;
+* the **fast** variant (no subclass hooks) runs no hook code at all --
+  this is the uninstrumented oracle path;
 * the **hooked** variant additionally calls ``on_block_entry`` on every
-  block transition, routes WAIT/SIGNAL/NEXT_ITER through ``exec_sync``
-  and XFER through ``exec_xfer`` (with the original
+  transition into one of the interpreter's probe sites (every block
+  when it declares none), counts every block entry when
+  ``count_blocks`` is set, routes WAIT/SIGNAL/NEXT_ITER through
+  ``exec_sync`` and XFER through ``exec_xfer`` (with the original
   :class:`~repro.ir.Instruction`), and counts memory reads when
   ``count_loads`` is set -- everything the profiler and the parallel
   executor need.
@@ -123,15 +125,23 @@ Segment = Tuple[int, int, Tuple[int, ...], Tuple[Callable, ...]]
 class DecodedBlock:
     """A basic block lowered to effect closures plus a fused terminator."""
 
-    __slots__ = ("block", "segments", "term", "term_cycles")
+    __slots__ = (
+        "block", "segments", "term", "term_cycles", "probe", "counts", "index",
+    )
 
-    def __init__(self, block: BasicBlock) -> None:
+    def __init__(self, block: BasicBlock, index: int = 0) -> None:
         self.block = block
         self.segments: Tuple[Segment, ...] = ()
         #: Returns the successor DecodedBlock, or None after setting
         #: ``frame.ret`` (RET).  ``None`` when the block never terminates.
         self.term: Optional[Callable[[DecodedFrame], Optional["DecodedBlock"]]] = None
         self.term_cycles = 0
+        #: Hooked variant: entering this block calls ``on_block_entry``.
+        self.probe = True
+        #: Hooked variant with ``count_blocks``: the function's shared
+        #: entry counters, bumped at ``counts[index]`` on every entry.
+        self.counts: Optional[List[int]] = None
+        self.index = index
 
 
 class DecodedFunction:
@@ -247,6 +257,11 @@ class _FunctionDecoder:
         # toggle of ``interp.count_loads`` can never skew a cached decode.
         self.count_loads = (
             interp.count_loads if count_loads is None else count_loads
+        )
+        self.probes = interp.probes_for(func) if hooked else None
+        self.counts = (
+            interp.block_counter(func)
+            if hooked and interp.count_blocks else None
         )
         self.fname = func.name
         self.slot_map: Dict[int, int] = allocate_slots(func)
@@ -698,9 +713,14 @@ class _FunctionDecoder:
 
     def decode(self) -> DecodedFunction:
         blocks = {
-            name: DecodedBlock(block)
-            for name, block in self.func.blocks.items()
+            name: DecodedBlock(block, index)
+            for index, (name, block) in enumerate(self.func.blocks.items())
         }
+        if self.hooked:
+            probes = self.probes
+            for name, dblock in blocks.items():
+                dblock.probe = probes is None or name in probes
+                dblock.counts = self.counts
         cost_model = self.interp.cost_model
         # Segment boundaries: observation points whose hooks (or callee
         # accounting) must see exact cycle/instruction counts.
@@ -789,8 +809,12 @@ def execute_decoded(interp, dfunc: DecodedFunction, frame: DecodedFrame,
     if not hooked:
         finish_decoded(interp, frame, dfunc.entry, 0, limit)
         return frame.ret
-    interp.on_block_entry(frame, None, dfunc.entry.block)
-    finish_hooked(interp, frame, dfunc.entry, 0, limit)
+    entry = dfunc.entry
+    if entry.counts is not None:
+        entry.counts[entry.index] += 1
+    if entry.probe:
+        interp.on_block_entry(frame, None, entry.block)
+    finish_hooked(interp, frame, entry, 0, limit)
     return frame.ret
 
 
@@ -802,12 +826,13 @@ def finish_hooked(interp, frame: DecodedFrame, dblock: DecodedBlock,
     ``seg_index``-th segment *without* re-calling ``on_block_entry`` for
     the current block (the caller -- :func:`execute_decoded` at an
     activation entry, or the hooked superblock tier mid-chain -- has
-    already announced it), then calls ``on_block_entry`` at every
-    subsequent block transition exactly as the tree-walker does.  The
-    hooked superblock backend (:mod:`repro.runtime.codegen`) diverts
-    here when the instruction budget could expire inside a fused region;
-    hooked tier-2 segments split after every CALL and sync/xfer opcode,
-    so the generated code's anchors align with ``seg_index``.
+    already announced it), then counts and announces every subsequent
+    block transition exactly as the tree-walker does (the hook only
+    into probe sites).  The hooked superblock backend
+    (:mod:`repro.runtime.codegen`) diverts here when the instruction
+    budget could expire inside a fused region; hooked tier-2 segments
+    split after every CALL and sync/xfer opcode, so the generated
+    code's anchors align with ``seg_index``.
     """
     if limit is None:
         limit = _INF
@@ -838,7 +863,11 @@ def finish_hooked(interp, frame: DecodedFrame, dblock: DecodedBlock,
         nxt = term(frame)
         if nxt is None:
             return
-        interp.on_block_entry(frame, db.block, nxt.block)
+        counts = nxt.counts
+        if counts is not None:
+            counts[nxt.index] += 1
+        if nxt.probe:
+            interp.on_block_entry(frame, db.block, nxt.block)
         db = nxt
         segments = db.segments
 

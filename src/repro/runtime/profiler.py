@@ -12,12 +12,20 @@ needs:
 * average inclusive cycles per function call (to price CALL instructions
   inside loops);
 * the dynamic loop nesting graph (profiled subgraph of the static one).
+
+Only loop headers and loop exit targets can change the active loop
+stack, so those are the interpreter's probe sites
+(:func:`loop_probe_sites`): ``on_block_entry`` runs nowhere else, and
+the per-block counts come from the interpreter's generated counters
+(``count_blocks``) instead of a hook.  Cycles between two probes are
+attributed to an unchanged stack, so the profile is identical to one
+taken with a hook on every block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.analysis.loopnest import (
     DynamicLoopNestGraph,
@@ -156,9 +164,9 @@ class _ProfilingHarness:
     def __init__(self, nest: StaticLoopNestGraph, data: ProfileData) -> None:
         self.nest = nest
         self.data = data
-        #: Stack of (activation id, Loop) for every active loop, across
-        #: function activations.
-        self.loop_stack: List[Tuple[int, Loop]] = []
+        #: Stack of (activation id, Loop, its profile) for every active
+        #: loop, across function activations.
+        self.loop_stack: List[Tuple[int, Loop, LoopProfile]] = []
         self.activation_stack: List[int] = [0]
         self.next_activation = 1
         self.last_cycles = 0
@@ -170,9 +178,9 @@ class _ProfilingHarness:
     def _sync(self, cycles: int) -> None:
         delta = cycles - self.last_cycles
         if delta and self.loop_stack:
-            for _aid, loop in self.loop_stack:
-                self._profile(loop).total_cycles += delta
-            self._profile(self.loop_stack[-1][1]).self_cycles += delta
+            for _aid, _loop, profile in self.loop_stack:
+                profile.total_cycles += delta
+            self.loop_stack[-1][2].self_cycles += delta
         self.last_cycles = cycles
 
     def _profile(self, loop: Loop) -> LoopProfile:
@@ -182,15 +190,10 @@ class _ProfilingHarness:
             self.data.loops[loop.id] = profile
         return profile
 
-    # -- listeners ------------------------------------------------------------
+    # -- events ---------------------------------------------------------------
 
-    def on_block(
-        self, func_name: str, prev: Optional[str], block: str, cycles: int
-    ) -> None:
+    def on_block(self, func_name: str, block: str, cycles: int) -> None:
         self._sync(cycles)
-        key = (func_name, block)
-        self.data.block_counts[key] = self.data.block_counts.get(key, 0) + 1
-
         forest = self.nest.forests.get(func_name)
         if forest is None:
             return
@@ -198,7 +201,7 @@ class _ProfilingHarness:
 
         # Pop loops of this activation that no longer contain the block.
         while self.loop_stack:
-            aid, top = self.loop_stack[-1]
+            aid, top, _ = self.loop_stack[-1]
             if aid != activation or block in top.blocks:
                 break
             self.loop_stack.pop()
@@ -207,14 +210,14 @@ class _ProfilingHarness:
         if loop is None:
             return
         if self.loop_stack:
-            aid, top = self.loop_stack[-1]
+            aid, top, profile = self.loop_stack[-1]
             if aid == activation and top is loop:
                 # Back edge: a new iteration of the active loop.
-                self._profile(loop).iterations += 1
+                profile.iterations += 1
                 return
         parent = self.loop_stack[-1][1].id if self.loop_stack else None
-        self.loop_stack.append((activation, loop))
         profile = self._profile(loop)
+        self.loop_stack.append((activation, loop, profile))
         profile.invocations += 1
         profile.iterations += 1
         self.data.dynamic_nesting.record(parent, loop.id)
@@ -245,26 +248,43 @@ class _ProfilingHarness:
             self.recursion[func_name] = (count - 1, first)
 
 
+def loop_probe_sites(nest: StaticLoopNestGraph) -> Dict[str, FrozenSet[str]]:
+    """Per function, every loop header and every loop exit target.
+
+    A block outside this set is entered from a block of the same loops
+    (it is not an exit target of any of them) and heads none, so the
+    harness's loop stack cannot change there.
+    """
+    sites: Dict[str, FrozenSet[str]] = {}
+    for func_name, forest in nest.forests.items():
+        blocks = forest.func.blocks
+        names = set()
+        for loop in forest:
+            names.add(loop.header)
+            for name in loop.blocks:
+                for succ in blocks[name].successor_names():
+                    if succ not in loop.blocks:
+                        names.add(succ)
+        if names:
+            sites[func_name] = frozenset(names)
+    return sites
+
+
 class _ProfilingInterpreter(Interpreter):
     """Interpreter whose hook overrides feed the profiling harness.
 
-    Overriding :meth:`on_block_entry` (rather than installing a
-    ``block_listener``) routes profiling runs onto the *hooked
-    superblock* tier under ``backend="auto"``: fused chains invoke the
-    hook at every block boundary with exact cycle counts, so the
-    collected profile is bit-identical to a listener-based tree or
-    decoded run (the differential tests assert this) at codegen speed.
+    The hook override routes profiling runs onto the *hooked
+    superblock* tier under ``backend="auto"``; :func:`profile_module`
+    declares :func:`loop_probe_sites` as its probe sites and turns on
+    ``count_blocks``, so fused chains call the hook only where the loop
+    stack can change, with exact cycle counts, and count every block
+    entry in generated code.
     """
 
     harness: "_ProfilingHarness"
 
     def on_block_entry(self, frame, prev, block) -> None:
-        self.harness.on_block(
-            frame.func.name,
-            prev.name if prev is not None else None,
-            block.name,
-            self.cycles,
-        )
+        self.harness.on_block(frame.func.name, block.name, self.cycles)
 
     def call_function(self, func, args):
         harness = self.harness
@@ -285,11 +305,14 @@ def profile_module(
     """Run ``module`` once under instrumentation and return the profile.
 
     The hook overrides select the hooked superblock tier under
-    ``backend="auto"`` (fused chains announce every block boundary with
-    exact counters); the collected profile is identical under
-    ``backend="tree"`` and ``backend="decoded"`` (the differential
-    tests assert this).  ``codegen_cache`` optionally reuses generated
-    code across jobs (see :mod:`repro.runtime.codegen`).
+    ``backend="auto"``.  Its probe sites are the loop headers and loop
+    exit targets of ``nest`` (:func:`loop_probe_sites`), and block
+    entries are counted by the interpreter, so only loop-stack changes
+    reach the harness.  The collected profile is identical under
+    ``backend="tree"`` and ``backend="decoded"``, and to a profile
+    hooked at every block (the differential tests assert both).
+    ``codegen_cache`` optionally reuses generated code across jobs (see
+    :mod:`repro.runtime.codegen`).
     """
     machine = machine or MachineConfig()
     nest = nest or build_static_loop_nest_graph(module)
@@ -300,10 +323,13 @@ def profile_module(
         backend=backend,
         codegen_cache=codegen_cache,
     )
+    interp.probe_sites = loop_probe_sites(nest)
+    interp.count_blocks = True
     data = ProfileData(module=module, result=None)  # type: ignore[arg-type]
     harness = _ProfilingHarness(nest, data)
     interp.harness = harness
     result = interp.run()
     harness._sync(interp.cycles)
     data.result = result
+    data.block_counts = interp.block_counts()
     return data

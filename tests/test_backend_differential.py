@@ -221,3 +221,58 @@ def test_parallel_executor_recorded_traces_identity(bench):
     assert len(decoded.traces) == len(superblock.traces)
     for left, right in zip(decoded.traces, superblock.traces):
         assert _trace_bytes(left) == _trace_bytes(right)
+
+
+class _ProbeRecorder(Interpreter):
+    """Digests ``on_block_entry`` calls into probe sites, with the
+    counters each one observes.
+
+    Without declared probe sites it hears every block: it then counts
+    every entry itself and digests only the calls into ``sites``, which
+    makes it the every-block oracle for a run that declares ``sites``.
+    """
+
+    def __init__(self, module, sites, backend, declare):
+        super().__init__(module, backend=backend)
+        self.count_loads = True
+        self.sites = sites
+        if declare:
+            self.probe_sites = sites
+            self.count_blocks = True
+        self.entries = {}
+        self.digest = 0
+
+    def on_block_entry(self, frame, prev, block):
+        fname = frame.func.name
+        if self.probe_sites is None:
+            key = (fname, block.name)
+            self.entries[key] = self.entries.get(key, 0) + 1
+        if block.name in self.sites.get(fname, ()):
+            self.digest = hash((
+                self.digest, fname, prev.name if prev is not None else None,
+                block.name, self.cycles, self.instructions, self.load_count,
+            ))
+
+
+def _probed_run(module, sites, backend, declare):
+    interp = _ProbeRecorder(module, sites, backend, declare)
+    result = interp.run()
+    counts = interp.block_counts() if declare else interp.entries
+    return result.to_dict(), interp.load_count, interp.digest, counts
+
+
+@pytest.mark.parametrize("bench", benchmark_names())
+def test_benchmark_probe_sites_filter_tree_hooks(bench):
+    """Every tier, declaring the profiler's probe sites, makes exactly
+    the every-block tree walker's hook calls into those sites -- same
+    order, arguments and counters -- and counts the same block entries.
+    """
+    from repro.analysis.loopnest import build_static_loop_nest_graph
+    from repro.runtime.profiler import loop_probe_sites
+
+    module = _bench_module(bench)
+    sites = loop_probe_sites(build_static_loop_nest_graph(module))
+    oracle = _probed_run(module, sites, "tree", declare=False)
+    assert oracle[2] != 0
+    for backend in ("tree",) + COMPILED_BACKENDS:
+        assert _probed_run(module, sites, backend, declare=True) == oracle

@@ -9,6 +9,8 @@ compare+branch specializations, and the ``interp.superblock.*`` /
 ``interp.codegen.*`` observability counters.
 """
 
+import re
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -24,9 +26,12 @@ from repro.runtime import (
     RuntimeFault,
     run_module,
 )
-from repro.runtime.codegen import MAX_CHAIN_BLOCKS, form_superblocks
+from repro.runtime.codegen import (
+    MAX_CHAIN_BLOCKS,
+    compile_superblocks,
+    form_superblocks,
+)
 from repro.runtime.interpreter import (
-    _BACKEND_HOOKED,
     _BACKEND_HOOKED_SUPER,
     _BACKEND_SUPER,
 )
@@ -506,10 +511,10 @@ class TestBackendSelection:
         interp = Interpreter(_loop_module, backend="superblock")
         assert interp._backend_mode() == _BACKEND_SUPER
 
-    def test_listeners_demote_to_hooked_variant(self):
+    def test_hooks_select_hooked_superblock_tier(self):
         interp = Interpreter(_loop_module, backend="superblock")
-        interp.block_listener = lambda f, p, b, c: None
-        assert interp._backend_mode() == _BACKEND_HOOKED
+        interp.on_block_entry = lambda frame, prev, block: None
+        assert interp._backend_mode() == _BACKEND_HOOKED_SUPER
 
     def test_superblock_backend_rejects_core_overrides(self):
         class Tracing(Interpreter):
@@ -564,6 +569,81 @@ class TestHookedEquivalence:
         tree = Entries(module, backend="tree")
         assert auto.run().to_dict() == tree.run().to_dict()
         assert auto.entries == tree.entries
+
+
+# ------------------------------------------------------------ probe sites
+
+
+_CHARGE_RE = re.compile(r"__i\.instructions (?:=|\+=) ")
+
+
+def _source(module, hooked, probes=None, count_blocks=False):
+    interp = Interpreter(module)
+    interp.count_loads = True
+    interp.count_blocks = count_blocks
+    if probes is not None:
+        interp.probe_sites = {"main": frozenset(probes)}
+    return compile_superblocks(
+        interp, module.functions["main"], hooked=hooked, count_loads=True
+    ).source
+
+
+class TestProbeSites:
+    # The loop body falls through into the step block: a fused BR.
+    SRC = """
+    int a[8];
+    void main() {
+        int i;
+        int t = 0;
+        for (i = 0; i < 8; i++) {
+            t = t + i;
+            a[i] = t;
+        }
+        print(t);
+    }
+    """
+
+    def test_empty_probe_set_emits_no_hook(self):
+        module = compile_source(self.SRC)
+        for count_blocks in (False, True):
+            source = _source(module, True, (), count_blocks)
+            assert "__obe" not in source
+
+    def test_empty_probe_set_closes_no_extra_segments(self):
+        module = compile_source(self.SRC)
+        plain = len(_CHARGE_RE.findall(_source(module, False)))
+        every = len(_CHARGE_RE.findall(_source(module, True)))
+        assert every > plain  # the every-block shape closes at each one
+        for count_blocks in (False, True):
+            sparse = _source(module, True, (), count_blocks)
+            assert len(_CHARGE_RE.findall(sparse)) <= plain
+
+    def test_hook_calls_only_target_probe_sites(self):
+        module = compile_source(self.SRC)
+        func = module.functions["main"]
+        header = next(n for n in func.blocks if n.startswith("for"))
+        source = _source(module, True, {header})
+        calls = re.findall(r"__obe\(frame, (__bb\d+), (__bb\d+)\)", source)
+        assert calls
+        interp = Interpreter(module)
+        interp.probe_sites = {"main": frozenset({header})}
+        sfunc = compile_superblocks(interp, func, hooked=True)
+        namespace = sfunc.run.__globals__
+        assert {namespace[target].name for _prev, target in calls} == {header}
+
+    def test_probe_sites_key_the_artifact(self):
+        from repro.runtime.codegen import artifact_key
+
+        module = compile_source(self.SRC)
+        func = module.functions["main"]
+        keys = set()
+        for probes, count_blocks in ((None, False), ((), False), ((), True)):
+            interp = Interpreter(module)
+            interp.count_blocks = count_blocks
+            if probes is not None:
+                interp.probe_sites = {"main": frozenset(probes)}
+            keys.add(artifact_key(interp, func, True, False))
+        assert len(keys) == 3
 
 
 # ------------------------------------------------------------------ counters

@@ -465,6 +465,40 @@ class TestParallelSuite:
         assert interp["interp.superblock.formed"] > 0
         assert interp["interp.codegen.functions"] > 0
 
+    def test_sequential_suite_records_bench_outcomes(self, tiny_pair):
+        _, report, _ = run_suite(
+            machine=MachineConfig(cores=4), jobs=1, benches=tiny_pair
+        )
+        assert [b.bench for b in report.benches] == list(tiny_pair)
+        assert all(b.output_matches for b in report.benches)
+        assert all(b.wall_seconds > 0 for b in report.benches)
+        for outcome in report.benches:
+            assert outcome.stages["execute"]["computes"] == 1
+            assert outcome.stages["profile"]["computes"] == 1
+        # The outcomes are slices of the parent runner's tallies, which
+        # report.stages already holds: nothing is counted twice.
+        assert report.stages["execute"]["computes"] == len(tiny_pair)
+        assert report.stages["profile"]["computes"] == len(tiny_pair)
+
+    def test_interrupted_suite_keeps_partial_accounting(
+        self, tiny_pair, monkeypatch
+    ):
+        from repro.evaluation import figures
+        from repro.evaluation.parallel_runner import SuiteInterrupted
+
+        def interrupt(_runner):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(figures, "figure9", interrupt)
+        with pytest.raises(SuiteInterrupted) as excinfo:
+            run_suite(
+                machine=MachineConfig(cores=4), jobs=1, benches=tiny_pair
+            )
+        report = excinfo.value.report
+        assert report.interrupted
+        assert [b.bench for b in report.benches] == list(tiny_pair)
+        assert report.stages["execute"]["computes"] == len(tiny_pair)
+
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
         reason="workers inherit the test benchmark registry via fork",

@@ -227,33 +227,76 @@ class TestAccounting:
         assert interp.run().output == ["1"]
 
 
-class TestHooks:
-    def test_block_listener_sees_entry(self):
-        module = compile_source(
-            "void main() { int i; for (i = 0; i < 3; i++) { } }"
+class _Recorder(Interpreter):
+    """Records block entries and call edges through the hook overrides."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.blocks = []
+        self.calls = []
+
+    def on_block_entry(self, frame, prev, block):
+        self.blocks.append(
+            (frame.func.name, prev.name if prev else None, block.name)
         )
-        events = []
-        interp = Interpreter(module)
-        interp.block_listener = lambda f, p, b, c: events.append((f, p, b))
+
+    def call_function(self, func, args):
+        self.calls.append((func.name, True))
+        value = super().call_function(func, args)
+        self.calls.append((func.name, False))
+        return value
+
+
+class TestHooks:
+    LOOP_SRC = "void main() { int i; for (i = 0; i < 3; i++) { } }"
+
+    def test_block_hook_sees_entry(self):
+        interp = _Recorder(compile_source(self.LOOP_SRC))
         interp.run()
-        assert events[0][1] is None  # function entry has no predecessor
-        headers = [e for e in events if e[2].startswith("for")]
+        blocks = interp.blocks
+        assert blocks[0][1] is None  # function entry has no predecessor
+        headers = [e for e in blocks if e[2].startswith("for")]
         assert len(headers) == 4  # 3 iterations + final exit test
 
-    def test_call_listener_pairs(self):
+    def test_call_hook_pairs(self):
         module = compile_source(
             "int f() { return 1; } void main() { print(f() + f()); }"
         )
-        events = []
-        interp = Interpreter(module)
-        interp.call_listener = lambda name, entering, c: events.append(
-            (name, entering)
-        )
+        interp = _Recorder(module)
         interp.run()
+        events = interp.calls
         assert events.count(("f", True)) == 2
         assert events.count(("f", False)) == 2
         assert events[0] == ("main", True)
         assert events[-1] == ("main", False)
+
+    @pytest.mark.parametrize("backend", ["tree", "decoded", "superblock"])
+    def test_probe_sites_filter_block_hook(self, backend):
+        module = compile_source(self.LOOP_SRC)
+        every = _Recorder(module, backend="tree")
+        every.run()
+        header = next(e[2] for e in every.blocks if e[2].startswith("for"))
+        probed = _Recorder(module, backend=backend)
+        probed.probe_sites = {"main": frozenset({header})}
+        probed.run()
+        assert probed.blocks == [e for e in every.blocks if e[2] == header]
+        assert probed.calls == every.calls
+
+    @pytest.mark.parametrize("backend", ["tree", "decoded", "superblock"])
+    def test_count_blocks_counts_every_entry(self, backend):
+        module = compile_source(self.LOOP_SRC)
+        every = _Recorder(module, backend="tree")
+        every.run()
+        expected = {}
+        for func, _prev, block in every.blocks:
+            expected[(func, block)] = expected.get((func, block), 0) + 1
+        interp = Interpreter(module, backend=backend)
+        interp.count_blocks = True
+        interp.probe_sites = {}
+        interp.run()
+        assert interp.block_counts() == expected
+        interp.run()  # counters restart with every run
+        assert interp.block_counts() == expected
 
 
 class TestFormatting:

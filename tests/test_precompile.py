@@ -83,14 +83,15 @@ class TestBackendSelection:
         interp = Interpreter(compile_source(COUNT_SRC), backend="decoded")
         assert interp._backend_mode() == _BACKEND_FAST
 
-    def test_listeners_select_hooked_variant(self):
+    def test_count_blocks_selects_hooked_tiers(self):
         interp = Interpreter(compile_source(COUNT_SRC))
-        interp.block_listener = lambda f, p, b, c: None
-        assert interp._backend_mode() == _BACKEND_HOOKED
-        interp.block_listener = None
+        interp.count_blocks = True
+        assert interp._backend_mode() == _BACKEND_HOOKED_SUPER
+        interp.count_blocks = False
         assert interp._backend_mode() == _BACKEND_SUPER
-        interp.call_listener = lambda n, e, c: None
-        assert interp._backend_mode() == _BACKEND_HOOKED
+        pinned = Interpreter(compile_source(COUNT_SRC), backend="decoded")
+        pinned.count_blocks = True
+        assert pinned._backend_mode() == _BACKEND_HOOKED
 
     def test_count_loads_selects_hooked_superblock_tier(self):
         interp = Interpreter(compile_source(COUNT_SRC))
@@ -270,22 +271,35 @@ class TestDecodedState:
         module = compile_source(COUNT_SRC)
         interp = Interpreter(module, backend="decoded")
         interp.run()
-        interp.block_listener = lambda f, p, b, c: None
+        interp.count_loads = True
         interp.run()
         hooked_flags = {key[2] for key in interp._decoded}
         assert hooked_flags == {False, True}
 
-    def test_listener_events_match_tree_backend(self):
+    def test_hook_events_match_tree_backend(self):
         module = compile_source(COUNT_SRC)
 
-        def collect(backend):
-            events = []
-            interp = Interpreter(module, backend=backend)
-            interp.block_listener = lambda f, p, b, c: events.append(
-                (f, p, b, c)
-            )
-            interp.call_listener = lambda n, e, c: events.append((n, e, c))
-            interp.run()
-            return events
+        class Events(Interpreter):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.events = []
 
+            def on_block_entry(self, frame, prev, block):
+                self.events.append(
+                    (frame.func.name, prev.name if prev else None,
+                     block.name, self.cycles)
+                )
+
+            def call_function(self, func, args):
+                self.events.append((func.name, True, self.cycles))
+                value = super().call_function(func, args)
+                self.events.append((func.name, False, self.cycles))
+                return value
+
+        def collect(backend):
+            interp = Events(module, backend=backend)
+            interp.run()
+            return interp.events
+
+        assert len(collect("tree")) > 50
         assert collect("tree") == collect("decoded")

@@ -271,3 +271,72 @@ class TestOptimizerProperty:
         baseline = run_module(module)
         optimize_module(module)
         assert run_module(module).output == baseline.output
+
+
+# --------------------------------------------------------------- probe sites
+
+
+def _every_block_profile(module, machine):
+    """The profile a hook on *every* block collects on the tree walker:
+    no probe sites, and block counts taken in the hook itself."""
+    from repro.analysis.loopnest import build_static_loop_nest_graph
+    from repro.runtime.profiler import (
+        ProfileData,
+        _ProfilingHarness,
+        _ProfilingInterpreter,
+    )
+
+    class EveryBlock(_ProfilingInterpreter):
+        def on_block_entry(self, frame, prev, block):
+            counts = self.harness.data.block_counts
+            key = (frame.func.name, block.name)
+            counts[key] = counts.get(key, 0) + 1
+            super().on_block_entry(frame, prev, block)
+
+    interp = EveryBlock(module, machine, backend="tree")
+    data = ProfileData(module=module, result=None)
+    harness = _ProfilingHarness(build_static_loop_nest_graph(module), data)
+    interp.harness = harness
+    data.result = interp.run()
+    harness._sync(interp.cycles)
+    return data
+
+
+class TestProbeSiteProperty:
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(loop_programs(), st.sampled_from([2, 4, 6]))
+    def test_sparse_instrumentation_matches_every_block_tree(
+        self, source, cores
+    ):
+        """Probe-site profiling and execution equal the tree walker
+        hooked at every block: the whole profile, and every recorded
+        invocation trace."""
+        from repro import parallelize
+        from repro.runtime.parallel import ParallelExecutor
+        from repro.runtime.profiler import profile_module
+
+        module = compile_minic(source)
+        machine = MachineConfig(cores=cores)
+        sparse = profile_module(module, machine)
+        assert sparse.to_dict() == _every_block_profile(module, machine).to_dict()
+
+        loop_ids = [
+            l.id
+            for l in find_loops(module.functions["main"])
+            if l.parent is None
+        ]
+        helix = parallelize(module, machine, loop_ids=loop_ids)
+        auto = ParallelExecutor(helix.transformed, helix.infos, machine)
+        tree = ParallelExecutor(
+            helix.transformed, helix.infos, machine, backend="tree"
+        )
+        tree.probe_sites = None
+        left, right = auto.execute(), tree.execute()
+        assert left.result.to_dict() == right.result.to_dict()
+        assert [t.to_dict() for t in left.traces] == [
+            t.to_dict() for t in right.traces
+        ]
