@@ -16,8 +16,9 @@ behind one keyed API:
 * **Schedule columns** (per-machine :class:`ScheduleResult` lists,
   aligned with an executor's recorded traces) live in
   :class:`ScheduleMemo` namespaces handed out by
-  :meth:`schedule_memo`; the store keeps a registry of them so one
-  :meth:`counters` call describes every memoized column in the process.
+  :meth:`schedule_memo`; the store tracks them weakly, so one
+  :meth:`counters` call describes every live memoized column in the
+  process, and a memo dies with the executor that owns it.
 * **Generated interpreter code** (the superblock tiers' source +
   bytecode manifests, kind ``"codegen"``) is content-addressed by
   :func:`repro.runtime.codegen.artifact_key` -- function IR + hook
@@ -36,7 +37,9 @@ processes.
 
 from __future__ import annotations
 
+import itertools
 import threading
+import weakref
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
 
@@ -86,7 +89,13 @@ class ArtifactStore:
         self._hits: Dict[str, int] = {}
         self._misses: Dict[str, int] = {}
         self._stores: Dict[str, int] = {}
-        self._memos: List[ScheduleMemo] = []
+        #: Handed-out memos, held weakly: the orchestrator shares one
+        #: store across per-job runners, and a long-lived daemon must
+        #: not keep every finished job's schedule columns alive.
+        self._memos: "weakref.WeakValueDictionary[int, ScheduleMemo]" = (
+            weakref.WeakValueDictionary()
+        )
+        self._memo_ids = itertools.count()
 
     # -- stage artifacts ---------------------------------------------------
 
@@ -140,10 +149,11 @@ class ArtifactStore:
     # -- schedule columns --------------------------------------------------
 
     def schedule_memo(self) -> ScheduleMemo:
-        """A fresh schedule-column namespace (one per executor)."""
+        """A fresh schedule-column namespace (one per executor), tracked
+        for :meth:`counters` for as long as its owner keeps it alive."""
         memo = ScheduleMemo()
         with self._lock:
-            self._memos.append(memo)
+            self._memos[next(self._memo_ids)] = memo
         return memo
 
     # -- accounting --------------------------------------------------------
@@ -160,15 +170,14 @@ class ArtifactStore:
         ``artifacts`` mirrors the per-kind hit/miss/store tallies (the
         store's own view; the attached cache keeps its own identical
         disk-traffic counters), ``schedules`` aggregates the occupancy
-        of every handed-out schedule memo.
+        of every live handed-out schedule memo.
         """
         with self._lock:
             kinds = set(self._hits) | set(self._misses) | set(self._stores)
-            machines = sum(len(memo) for memo in self._memos)
+            memos = list(self._memos.values())
+            machines = sum(len(memo) for memo in memos)
             columns = sum(
-                len(column)
-                for memo in self._memos
-                for column in memo.values()
+                len(column) for memo in memos for column in memo.values()
             )
             return {
                 "artifacts": {
@@ -180,7 +189,7 @@ class ArtifactStore:
                     for kind in sorted(kinds)
                 },
                 "schedules": {
-                    "memos": len(self._memos),
+                    "memos": len(memos),
                     "machines": machines,
                     "columns": columns,
                 },

@@ -142,6 +142,7 @@ def _reset_compiled_state(executor: ParallelExecutor) -> None:
     """Drop every compiled artifact so the next ``replay_many`` is cold:
     trace programs recompile and the baseline schedules recompute."""
     executor._schedules = {}
+    executor._accounts = {}
     for trace in executor.traces:
         trace._program = None
 

@@ -36,6 +36,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import tempfile
 import time
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
@@ -190,9 +192,23 @@ class ResultsStore:
         )
         path = self._path(record)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(record.as_dict(), indent=2, sort_keys=True))
-        tmp.replace(path)
+        # A temp file of its own per writer: two writers of one run id
+        # (identical bytes) each rename a complete file into place.
+        fd, tmp = tempfile.mkstemp(
+            dir=str(path.parent), prefix=f".{path.stem}.", suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(
+                    json.dumps(record.as_dict(), indent=2, sort_keys=True)
+                )
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
         return record
 
     def _path(self, record: RunRecord) -> Path:

@@ -45,10 +45,10 @@ effects`` loop per block.  This module removes those too:
   NEXT_ITER route through ``exec_sync`` and XFER through ``exec_xfer``
   at segment boundaries, and ``count_loads`` becomes a static
   per-segment ``load_count`` increment.  Because a hook may *rewrite*
-  ``interp.cycles`` (the parallel executor replaces serial with
-  scheduled-parallel time at loop exits), generated code only ever
-  charges through the interpreter attribute and never caches cycle
-  state in locals across a hook call.  Hooks receive the tier-2
+  ``interp.cycles`` (part of the hook contract, although the parallel
+  executor now only reads it and re-times its invocations after the
+  run), generated code only ever charges through the interpreter
+  attribute and never caches cycle state in locals across a hook call.  Hooks receive the tier-2
   :class:`~repro.runtime.precompile.DecodedFrame` and must not inspect
   register state (true of every in-tree consumer).
 * **Exactness fallback** -- output, cycle and instruction counts,

@@ -31,22 +31,38 @@ Per iteration the replay carries:
   a dependence carries (its ``xfer`` producer mark executed), the consumer
   pays the word-transfer cost ``M``.
 
-Traces can be recorded and *replayed* against other machine
-configurations (core count, prefetch mode, latencies) without re-running
-the program -- the functional trace does not depend on the machine.
-Recorded traces are packed into
-:class:`~repro.runtime.trace.CompactInvocationTrace` at record time and
-scheduled by the compiled engine
-(:func:`~repro.runtime.sched.schedule_compact`); multi-machine sweeps
+Timing is computed after the run, not while it executes.  Simulated
+time never feeds back into values, so the executor records each
+invocation's events straight into the columns of a
+:class:`~repro.runtime.trace.CompactInvocationTrace`, stamped with the
+interpreter's *sequential* clock, and moves on.  When :meth:`run` ends
+(normally or by a fault) one batched pass
+(:func:`~repro.runtime.sched.schedule_many`, which vectorizes
+shape-identical trace cohorts) schedules every completed invocation
+under the executing machine.  A prefix sum of each invocation's
+``parallel_cycles - sequential_cycles`` then moves every trace's
+absolute stamps, the cycle count and the loop statistics to parallel
+time, exactly as if each invocation's sequential span had been replaced
+by its schedule the moment it ended.  Every scheduler reads stamps only
+as differences within one trace, so shifting a trace leaves its
+schedule unchanged.
+
+Traces can be *replayed* against other machine configurations (core
+count, prefetch mode, latencies) without re-running the program -- the
+functional trace does not depend on the machine.  Multi-machine sweeps
 should go through :meth:`ParallelExecutor.replay_many`, which fills all
 missing schedules in one pass over the traces and memoizes per-machine
 schedule columns (keyed by
 :meth:`~repro.runtime.machine.MachineConfig.fingerprint`) so the
-baseline machine is never rescheduled per swept point.
+baseline machine is never rescheduled per swept point.  The pass that
+ends :meth:`run` also fills the executing machine's per-core cycle
+accounting (:meth:`ParallelExecutor.core_account`), the source of the
+report's simulated-time ``timeline`` block; replays account nothing.
 """
 
 from __future__ import annotations
 
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -65,13 +81,20 @@ from repro.runtime.interpreter import (
 )
 from repro.runtime.machine import MachineConfig
 from repro.runtime.sched import (
+    CoreTable,
     ScheduleResult,
+    core_table,
     schedule_compact,
     schedule_invocation_reference,
     schedule_many,
 )
 from repro.runtime.trace import (
     CTRL_DEP,
+    KIND_NEXT,
+    KIND_PRODUCE,
+    KIND_SIGNAL,
+    KIND_WAIT,
+    KIND_XFER,
     CompactInvocationTrace,
     InvocationTrace,
     IterationTrace,
@@ -272,17 +295,21 @@ class ParallelExecutor(Interpreter):
         self.probe_sites = {
             name: frozenset(blocks) for name, blocks in sites.items()
         }
-        self._inv: Optional[InvocationTrace] = None
+        #: The invocation being recorded: its columns are the record
+        #: buffers (``words`` is a list until the invocation ends).
+        self._inv: Optional[CompactInvocationTrace] = None
         self._inv_info: Optional[ParallelizedLoop] = None
         self._inv_frame: Optional[Frame] = None
-        self._iter: Optional[IterationTrace] = None
+        #: Word counts of the current iteration's ``xfer`` events; None
+        #: before the invocation's first iteration starts.
+        self._iter_words: Optional[Dict[int, int]] = None
         self._loads_at_start = 0
         self.loop_stats: Dict[LoopId, LoopRunStats] = {}
         self.traces: List[CompactInvocationTrace] = []
         #: Memoized per-machine schedule columns, aligned with
         #: :attr:`traces`, keyed by machine fingerprint.  The executing
-        #: machine's column is seeded during :meth:`run`, so replays
-        #: never reschedule the baseline.  An
+        #: machine's column is filled by the batched pass that ends
+        #: :meth:`run`, so replays never reschedule the baseline.  An
         #: :class:`~repro.artifacts.ArtifactStore` may inject a tracked
         #: namespace here (``schedule_memo``) so column occupancy shows
         #: up in the store's unified accounting; standalone executors
@@ -290,6 +317,12 @@ class ParallelExecutor(Interpreter):
         self._schedules: Dict[str, List[ScheduleResult]] = (
             schedule_memo if schedule_memo is not None else {}
         )
+        #: Per-core accounting tables (:func:`~repro.runtime.sched.core_table`)
+        #: by machine fingerprint.  A table exists only next to a
+        #: complete column that the same batched pass filled, and
+        #: covers exactly that column's traces; only the pass that ends
+        #: :meth:`run` and :meth:`core_account` requests fill one.
+        self._accounts: Dict[str, CoreTable] = {}
 
     # -- interpreter hooks -------------------------------------------------
 
@@ -310,71 +343,102 @@ class ParallelExecutor(Interpreter):
             self._end_invocation()
 
     def exec_sync(self, frame: Frame, instr: Instruction) -> None:
-        if self._iter is None or frame is not self._inv_frame:
+        if self._iter_words is None or frame is not self._inv_frame:
             return
+        inv = self._inv
         if instr.opcode is Opcode.WAIT:
-            self._iter.events.append(("w", instr.dep_id, self.cycles))
+            inv.ev_kind.append(KIND_WAIT)
+            inv.ev_dep.append(instr.dep_id)
         elif instr.opcode is Opcode.SIGNAL:
-            self._iter.events.append(("s", instr.dep_id, self.cycles))
+            inv.ev_kind.append(KIND_SIGNAL)
+            inv.ev_dep.append(instr.dep_id)
         else:  # NEXT_ITER
-            self._iter.events.append(("n", CTRL_DEP, self.cycles))
+            inv.ev_kind.append(KIND_NEXT)
+            inv.ev_dep.append(CTRL_DEP)
+        inv.ev_at.append(self.cycles)
 
     def exec_xfer(self, frame: Frame, instr: Instruction) -> None:
-        if self._iter is None or frame is not self._inv_frame:
+        if self._iter_words is None or frame is not self._inv_frame:
             return
+        inv = self._inv
         dep = instr.dep_id
         if is_producer_mark(instr):
-            self._iter.events.append(("p", dep, self.cycles))
+            inv.ev_kind.append(KIND_PRODUCE)
         else:
-            self._iter.events.append(("x", dep, self.cycles))
-            self._iter.words[dep] = xfer_words(instr)
+            inv.ev_kind.append(KIND_XFER)
+            self._iter_words[dep] = xfer_words(instr)
+        inv.ev_dep.append(dep)
+        inv.ev_at.append(self.cycles)
 
     # -- invocation lifecycle -------------------------------------------------
 
     def _begin_invocation(self, info: ParallelizedLoop, frame: Frame) -> None:
-        self._inv = InvocationTrace(
-            loop_id=info.loop_id, start_cycles=self.cycles
+        self._inv = CompactInvocationTrace(
+            loop_id=info.loop_id,
+            start_cycles=self.cycles,
+            end_cycles=0,
+            loads=0,
+            it_start=array("q"),
+            it_end=array("q"),
+            ev_off=array("q", [0]),
+            ev_kind=array("q"),
+            ev_dep=array("q"),
+            ev_at=array("q"),
+            words=[],  # type: ignore[arg-type]  # tuple once it ends
         )
         self._inv_info = info
         self._inv_frame = frame
-        self._iter = None
+        self._iter_words = None
         self._loads_at_start = self.load_count
 
+    def _close_iteration(self) -> None:
+        inv = self._inv
+        inv.it_end.append(self.cycles)
+        inv.ev_off.append(len(inv.ev_kind))
+
     def _begin_iteration(self) -> None:
-        if self._iter is not None:
-            self._iter.end_cycles = self.cycles
-        self._iter = IterationTrace(start_cycles=self.cycles)
-        self._inv.iterations.append(self._iter)
+        if self._iter_words is not None:
+            self._close_iteration()
+        self._inv.it_start.append(self.cycles)
+        self._iter_words = {}
+        self._inv.words.append(self._iter_words)
 
     def _end_invocation(self) -> None:
         trace = self._inv
-        info = self._inv_info
-        if self._iter is not None:
-            self._iter.end_cycles = self.cycles
+        if self._iter_words is not None:
+            self._close_iteration()
         trace.end_cycles = self.cycles
         trace.loads = self.load_count - self._loads_at_start
+        trace.words = tuple(trace.words)
         self._inv = None
         self._inv_info = None
         self._inv_frame = None
-        self._iter = None
+        self._iter_words = None
+        # Stamped in sequential time; _finish_run schedules it.
+        self.traces.append(trace)
 
-        # Pack at record time; replays only ever see the compact form.
-        compact = CompactInvocationTrace.from_trace(trace)
-        schedule = schedule_compact(compact, info, self.machine)
-        # Replace the sequential span with the parallel schedule length.
-        self.cycles = trace.start_cycles + schedule.parallel_cycles
-
-        stats = self.loop_stats.get(info.loop_id)
-        if stats is None:
-            stats = LoopRunStats(loop_id=info.loop_id)
-            self.loop_stats[info.loop_id] = stats
-        _accumulate(stats, compact, schedule)
-        if self.record_traces:
-            self.traces.append(compact)
-            # Seed the baseline schedule column while we are at it.
-            self._schedules.setdefault(
-                self.machine.fingerprint(), []
-            ).append(schedule)
+    def _finish_run(self) -> None:
+        """Time the completed invocations: one batched pass schedules
+        them under the executing machine (filling its column and its
+        per-core accounting), then a prefix sum of each invocation's
+        ``parallel_cycles - sequential_cycles`` moves every trace's
+        stamps, the cycle count and the loop statistics from sequential
+        to parallel time, in trace order."""
+        self._ensure_schedules(
+            [self.machine], account=[self.machine] if self.record_traces else ()
+        )
+        column = self._schedules[self.machine.fingerprint()]
+        shift = 0
+        for trace, schedule in zip(self.traces, column):
+            if shift:
+                trace.shift(shift)
+            shift += schedule.parallel_cycles - schedule.sequential_cycles
+        self.cycles += shift
+        self.loop_stats = _loop_stats(self.traces, column)
+        if not self.record_traces:
+            self.traces = []
+            self._schedules.clear()
+            self._accounts.clear()
 
     # -- public API -------------------------------------------------------------
 
@@ -382,13 +446,22 @@ class ParallelExecutor(Interpreter):
         self._inv = None
         self._inv_info = None
         self._inv_frame = None
-        self._iter = None
+        self._iter_words = None
         self._loads_at_start = 0
         self.load_count = 0
         self.loop_stats = {}
         self.traces = []
         self._schedules.clear()
-        return super().run(entry, args)
+        self._accounts.clear()
+        try:
+            result = super().run(entry, args)
+        finally:
+            # Also on a fault: the completed invocations are timed, so
+            # the executor is left exactly as per-invocation timing
+            # would have left it.
+            self._finish_run()
+        result.cycles = self.cycles
+        return result
 
     def execute(self) -> ParallelRunResult:
         """Run the program and package the results."""
@@ -428,6 +501,7 @@ class ParallelExecutor(Interpreter):
         self.traces = [as_compact(trace) for trace in traces]
         self.loop_stats = dict(loop_stats)
         self._schedules.clear()
+        self._accounts.clear()
         if load_count is None:
             load_count = sum(trace.loads for trace in self.traces)
         self.load_count = load_count
@@ -443,6 +517,7 @@ class ParallelExecutor(Interpreter):
         machines: Sequence[MachineConfig],
         batched: bool = True,
         jobs: Optional[int] = None,
+        account: Sequence[MachineConfig] = (),
     ) -> None:
         """Fill the schedule memo for every machine missing from it.
 
@@ -455,8 +530,15 @@ class ParallelExecutor(Interpreter):
         remaining trace once for all machines); the per-trace path is
         kept for the benchmark's engine comparison.  ``jobs`` shards
         the trace list across a process pool for big grids.
+
+        A machine listed in ``account`` is (re)filled from scratch
+        unless it already has a per-core accounting table
+        (:meth:`core_account`), and an inline pass fills that table in
+        the same walk.  A pass that fills a column without accounting
+        drops the column's table.
         """
         total = len(self.traces)
+        wanted = {machine.fingerprint() for machine in account}
         seen: set = set()
         missing: List[Tuple[str, MachineConfig, int]] = []
         for machine in machines:
@@ -468,7 +550,11 @@ class ParallelExecutor(Interpreter):
             # empty one of a run whose loops never executed.
             column = self._schedules.setdefault(fingerprint, [])
             done = len(column)
-            if done < total:
+            if fingerprint in wanted and (
+                fingerprint not in self._accounts or done < total
+            ):
+                missing.append((fingerprint, machine, 0))
+            elif done < total:
                 missing.append((fingerprint, machine, done))
         if not missing:
             return
@@ -489,15 +575,28 @@ class ParallelExecutor(Interpreter):
                 tail = self.traces[start:]
                 loops = [info_by_id[t.loop_id] for t in tail]
                 grid = [machine for _fp, machine, _d in missing]
-                columns = self._schedule_columns(tail, loops, grid, jobs)
+                accounts: Dict[int, CoreTable] = {}
+                if not self._sharded(len(tail), jobs):
+                    for ki, (fp, machine, _done) in enumerate(missing):
+                        if fp in wanted:
+                            accounts[ki] = core_table(machine.cores)
+                columns = self._schedule_columns(
+                    tail, loops, grid, jobs, accounts
+                )
                 for ki, (fp, _machine, done) in enumerate(missing):
-                    col = self._schedules.setdefault(fp, [])
+                    col = self._schedules[fp]
+                    del col[done:]
                     for ti in range(done - start, len(tail)):
                         col.append(columns[ti][ki])
+                    if ki in accounts:
+                        self._accounts[fp] = accounts[ki]
+                    else:
+                        self._accounts.pop(fp, None)
             else:
                 by_start: Dict[int, List[Tuple[str, MachineConfig]]] = {}
                 for fp, machine, done in missing:
                     by_start.setdefault(done, []).append((fp, machine))
+                    self._accounts.pop(fp, None)
                 for done, group in by_start.items():
                     cols: Dict[str, List[ScheduleResult]] = {
                         fp: [] for fp, _m in group
@@ -509,7 +608,18 @@ class ParallelExecutor(Interpreter):
                                 schedule_invocation(trace, info, machine)
                             )
                     for fp, _m in group:
-                        self._schedules.setdefault(fp, []).extend(cols[fp])
+                        column = self._schedules[fp]
+                        del column[done:]
+                        column.extend(cols[fp])
+
+    @staticmethod
+    def _sharded(count: int, jobs: Optional[int]) -> bool:
+        """Whether scheduling ``count`` traces goes to a process pool."""
+        return (
+            jobs is not None
+            and jobs > 1
+            and count >= max(_SHARD_MIN_TRACES, 2 * jobs)
+        )
 
     def _schedule_columns(
         self,
@@ -517,14 +627,17 @@ class ParallelExecutor(Interpreter):
         loops: Sequence[ParallelizedLoop],
         machines: Sequence[MachineConfig],
         jobs: Optional[int],
+        accounts: Dict[int, CoreTable],
     ) -> List[List[ScheduleResult]]:
         """Batched schedule columns for ``traces``, sharded over a
-        process pool when ``jobs`` and the trace count warrant it."""
-        if (
-            jobs is None
-            or jobs <= 1
-            or len(traces) < max(_SHARD_MIN_TRACES, 2 * jobs)
-        ):
+        process pool when ``jobs`` and the trace count warrant it;
+        ``accounts`` (inline passes only) is filled as
+        :func:`~repro.runtime.sched.schedule_many` documents."""
+        if not self._sharded(len(traces), jobs):
+            if accounts:
+                return schedule_many(
+                    traces, loops, machines, accounts=accounts
+                )
             return schedule_many(traces, loops, machines)
         timings = [
             _LoopTiming(
@@ -566,7 +679,7 @@ class ParallelExecutor(Interpreter):
         Equivalent to ``[self.replay(m) for m in machines]`` but fills
         every missing schedule column in one batched pass over the
         stored traces; the baseline machine's schedules are reused from
-        the memo (seeded during execution) instead of being recomputed
+        the memo (filled when the run ended) instead of being recomputed
         per swept machine.  ``jobs`` shards the scheduling pass across
         a process pool for big grids.
 
@@ -587,13 +700,8 @@ class ParallelExecutor(Interpreter):
             for machine in machines:
                 news = self._schedules[machine.fingerprint()]
                 adjusted = self.cycles
-                loop_stats: Dict[LoopId, LoopRunStats] = {}
-                for trace, old, new in zip(self.traces, baseline, news):
+                for old, new in zip(baseline, news):
                     adjusted += new.parallel_cycles - old.parallel_cycles
-                    stats = loop_stats.setdefault(
-                        trace.loop_id, LoopRunStats(loop_id=trace.loop_id)
-                    )
-                    _accumulate(stats, trace, new)
                 result = ExecutionResult(
                     output=shared_output,
                     cycles=adjusted,
@@ -603,7 +711,7 @@ class ParallelExecutor(Interpreter):
                     ParallelRunResult(
                         result=result,
                         machine=machine,
-                        loop_stats=loop_stats,
+                        loop_stats=_loop_stats(self.traces, news),
                         traces=shared_traces,
                     )
                 )
@@ -616,13 +724,34 @@ class ParallelExecutor(Interpreter):
         the executing machine), aligned with :attr:`traces`.
 
         Memoized by machine fingerprint like :meth:`replay_many`; the
-        executing machine's column was seeded during :meth:`run`, so
-        asking for it never reschedules anything.
+        executing machine's column was filled when :meth:`run` ended,
+        so asking for it never reschedules anything.
         """
         if machine is None:
             machine = self.machine
         self._ensure_schedules([machine])
         return self._schedules[machine.fingerprint()]
+
+    def core_account(self, machine: Optional[MachineConfig] = None) -> CoreTable:
+        """Per-core simulated cycles of every invocation under
+        ``machine`` (default: the executing machine), by category.
+
+        One row per core, keyed by every
+        :data:`~repro.runtime.sched.CATEGORIES` entry: configuration,
+        compute, stall, signal, transfer and collection cycles summed
+        over all traces (``sequential`` stays zero: main-thread time
+        between invocations is not part of any schedule).  The batched
+        pass that fills the machine's schedule column fills the table
+        too, and it is memoized next to the column.  The pass that
+        ends :meth:`run` fills the executing machine's; asking for a
+        machine whose column was filled without accounting (any replay,
+        including the executing machine's after :meth:`restore_run`)
+        refills that column once.
+        """
+        if machine is None:
+            machine = self.machine
+        self._ensure_schedules([machine], account=[machine])
+        return self._accounts[machine.fingerprint()]
 
     def replay(self, machine: MachineConfig) -> ParallelRunResult:
         """Recompute the timing under a different machine from the stored
@@ -648,6 +777,22 @@ def _accumulate(
     stats.transfer_words += schedule.transfer_words
     stats.loads += trace.loads
     stats.segment_cycles += schedule.segment_cycles
+
+
+def _loop_stats(
+    traces: Sequence[AnyTrace], column: Sequence[ScheduleResult]
+) -> Dict[LoopId, LoopRunStats]:
+    """Per-loop statistics of ``traces`` timed by ``column``, keyed in
+    order of each loop's first invocation."""
+    loop_stats: Dict[LoopId, LoopRunStats] = {}
+    for trace, schedule in zip(traces, column):
+        stats = loop_stats.get(trace.loop_id)
+        if stats is None:
+            stats = loop_stats[trace.loop_id] = LoopRunStats(
+                loop_id=trace.loop_id
+            )
+        _accumulate(stats, trace, schedule)
+    return loop_stats
 
 
 def run_parallel(

@@ -27,6 +27,14 @@ DOALL closed form, deduplicated by core count, or the single-core
 no-prefetch walk -- are peeled out before the lockstep walk.  Its
 columns are field-exact with per-machine :func:`schedule_compact`.
 
+:func:`schedule_many` groups shape-identical traces into cohorts and
+vectorizes each cohort with numpy.  It can also fill per-core
+accounting tables (:func:`core_table`) for chosen machines in the same
+pass; :func:`invocation_segments`, which re-derives the general walk's
+placement as per-core :class:`Segment`\\ s for the simulated-time
+timeline export, accounts its stragglers and is the oracle for its
+cohort accounting.
+
 :func:`schedule_invocation_reference` is the original per-event
 interpreter over the raw :class:`~repro.runtime.trace.InvocationTrace`.
 It is kept as the differential oracle -- ``tests/test_sched_differential``
@@ -47,12 +55,14 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.loopinfo import ParallelizedLoop
 from repro.runtime.machine import MachineConfig, PrefetchMode
 from repro.runtime.trace import (
     CTRL_DEP,
+    KIND_SIGNAL,
+    KIND_WAIT,
     OP_SIGNAL,
     OP_WAIT,
     OP_WAIT_SYNC,
@@ -61,6 +71,9 @@ from repro.runtime.trace import (
     InvocationTrace,
     TraceProgram,
 )
+
+if TYPE_CHECKING:  # numpy is imported lazily by the cohort engine
+    import numpy as np
 
 
 @dataclass
@@ -372,6 +385,225 @@ def schedule_compact(
     stats.segment_cycles = seg
     stats.signal_cycles = sig
     return stats
+
+
+#: Segment categories, in display order.  ``config``/``collect`` are the
+#: per-invocation thread setup and wind-down costs, ``sequential`` is
+#: main-thread execution outside parallelized loops, and the remaining
+#: four are the :meth:`ScheduleResult.overhead_breakdown` buckets.
+CATEGORIES = (
+    "sequential",
+    "config",
+    "compute",
+    "stall",
+    "signal",
+    "transfer",
+    "collect",
+)
+
+#: A per-core accounting table: one row per core of the machine, each
+#: row keyed by every :data:`CATEGORIES` entry (simulated cycles).
+CoreTable = List[Dict[str, int]]
+
+
+def core_table(cores: int) -> CoreTable:
+    """An all-zero accounting table for ``cores`` cores."""
+    return [{category: 0 for category in CATEGORIES} for _ in range(cores)]
+
+
+@dataclass
+class Segment:
+    """One contiguous occupation of one core, in simulated cycles."""
+
+    core: int
+    category: str
+    start: int
+    end: int
+
+    @property
+    def cycles(self) -> int:
+        return self.end - self.start
+
+
+def account_segments(table: CoreTable, segments: List[Segment]) -> None:
+    """Add every segment's cycles to its core's row of ``table``."""
+    for seg in segments:
+        table[seg.core][seg.category] += seg.end - seg.start
+
+
+def invocation_segments(
+    trace: CompactInvocationTrace,
+    loop: ParallelizedLoop,
+    machine: MachineConfig,
+) -> List[Segment]:
+    """Per-core segments of one invocation, in invocation-local time.
+
+    Time zero is the start of thread configuration; the last segment
+    ends at ``ScheduleResult.parallel_cycles``.  Zero-iteration
+    invocations yield no segments (the caller shows their sequential
+    span on the main core).
+
+    The walk re-derives :func:`schedule_compact`'s placement (general
+    path only; its fast paths are timing-equivalent shortcuts), so the
+    segment totals match the :class:`ScheduleResult` aggregates
+    exactly.  It is the simulated-time timeline's export form, the
+    per-core accounting of cohort stragglers in :func:`schedule_many`,
+    and the oracle for the cohort engine's accounting.
+    """
+    prog = trace.program
+    n = len(prog.spans)
+    segments: List[Segment] = []
+    if n == 0:
+        return segments
+
+    cores = machine.cores
+    latency = machine.signal_latency
+    fast = machine.prefetched_signal_latency
+    mode = machine.effective_prefetch_mode
+    transfer = machine.word_transfer_cycles
+    counted = loop.counted
+    conf = machine.config_cycles_per_thread * max(cores - 1, 1)
+    wind_down = latency + cores - 1
+    barrier = 0 if machine.total_store_ordering else machine.barrier_cycles
+
+    if conf:
+        for core in range(cores):
+            segments.append(Segment(core, "config", 0, conf))
+
+    mode_none = mode is PrefetchMode.NONE
+    mode_ideal = mode is PrefetchMode.IDEAL
+    helix = mode is PrefetchMode.HELIX
+    do_helper = helix or mode is PrefetchMode.MATCHED
+    helix_agenda: Tuple[int, ...] = ()
+    ctrl_helix_agenda: Tuple[int, ...] = ()
+    if helix:
+        helix_agenda = tuple(loop.helper_order)
+        ctrl_helix_agenda = (CTRL_DEP,) + helix_agenda
+
+    op_, a1_, a2_, at_ = prog.op, prog.a1, prog.a2, prog.at
+    pre_, off, tail = prog.pre, prog.off, prog.tail
+    it_start, it_end = trace.it_start, trace.it_end
+    slots = [0] * prog.slot_count
+    core_free = [conf] * cores
+    helper_free = [0] * cores
+    prev_sig: Dict[int, int] = {}
+    prev_next: Optional[int] = None
+    max_end = 0
+
+    for i in range(n):
+        core = i % cores
+
+        pf: Optional[Dict[int, int]] = None
+        if do_helper and i > 0:
+            pf = {}
+            if counted:
+                agenda = helix_agenda if helix else prog.agendas[i]
+            else:
+                agenda = (
+                    ctrl_helix_agenda
+                    if helix
+                    else (CTRL_DEP,) + prog.agendas[i]
+                )
+            cursor = helper_free[core]
+            for dep in agenda:
+                if dep in pf:
+                    continue
+                ts = prev_next if dep == CTRL_DEP else prev_sig.get(dep)
+                if ts is None:
+                    continue
+                cursor = (cursor if cursor > ts else ts) + latency
+                pf[dep] = cursor
+            helper_free[core] = cursor
+
+        t = core_free[core]
+        if i > 0 and not counted:
+            assert prev_next is not None, "iteration without start signal"
+            ts = prev_next
+            started = t
+            if mode_none:
+                t = (t if t > ts else ts) + latency
+            elif mode_ideal:
+                t = (t if t > ts else ts) + fast
+            else:
+                pull = (t if t > ts else ts) + latency
+                done = pf.get(CTRL_DEP) if pf is not None else None
+                if done is None:
+                    t = pull
+                else:
+                    alt = t + fast
+                    if done > alt:
+                        alt = done
+                    t = pull if pull < alt else alt
+            if t > started:
+                segments.append(Segment(core, "signal", started, t))
+
+        cur_sig: Dict[int, int] = {}
+        cur_next: Optional[int] = None
+        pos = t
+        last = it_start[i]
+
+        for j in range(off[i], off[i + 1]):
+            t += at_[j] - last
+            last = at_[j]
+            if barrier:
+                t += pre_[j] * barrier
+            o = op_[j]
+            if o == OP_WAIT_SYNC:
+                t += barrier
+                ts = prev_sig[a1_[j]]
+                if mode_none:
+                    arrival = (t if t > ts else ts) + latency
+                elif mode_ideal:
+                    arrival = (t if t > ts else ts) + fast
+                else:
+                    pull = (t if t > ts else ts) + latency
+                    done = pf.get(a1_[j]) if pf is not None else None
+                    if done is None:
+                        arrival = pull
+                    else:
+                        alt = t + fast
+                        if done > alt:
+                            alt = done
+                        arrival = pull if pull < alt else alt
+                if arrival > t:
+                    if t > pos:
+                        segments.append(Segment(core, "compute", pos, t))
+                    segments.append(Segment(core, "stall", t, arrival))
+                    t = arrival
+                    pos = t
+                slots[a2_[j]] = t
+            elif o == OP_WAIT:
+                t += barrier
+                slots[a2_[j]] = t
+            elif o == OP_SIGNAL:
+                t += barrier
+                cur_sig[a1_[j]] = t
+            elif o == OP_XFER:
+                cost = a1_[j] * transfer
+                if cost:
+                    if t > pos:
+                        segments.append(Segment(core, "compute", pos, t))
+                    segments.append(Segment(core, "transfer", t, t + cost))
+                    t += cost
+                    pos = t
+            else:  # OP_NEXT
+                cur_next = t
+
+        t += it_end[i] - last
+        if barrier:
+            t += tail[i] * barrier
+        if t > pos:
+            segments.append(Segment(core, "compute", pos, t))
+        core_free[core] = t
+        if t > max_end:
+            max_end = t
+        prev_sig = cur_sig
+        prev_next = cur_next
+
+    # Main thread collects the exit variable and stops parallel threads.
+    if wind_down:
+        segments.append(Segment(0, "collect", max_end, max_end + wind_down))
+    return segments
 
 
 #: Agenda-entry sentinel: prefetch the predecessor's control signal
@@ -818,10 +1050,56 @@ def trace_signature(trace: CompactInvocationTrace) -> Tuple:
     )
 
 
+def _iteration_totals(values: "np.ndarray", off: array) -> "np.ndarray":
+    """Per-iteration sums of a flat per-event column sliced by ``off``."""
+    import numpy as np
+
+    sums = np.zeros(len(values) + 1, dtype=np.int64)
+    np.cumsum(values, out=sums[1:])
+    bounds = np.frombuffer(off, dtype=np.int64)
+    return sums[bounds[1:]] - sums[bounds[:-1]]
+
+
+def _account_closed_form(
+    table: CoreTable,
+    machine: MachineConfig,
+    cohort: int,
+    spans: "np.ndarray",
+    barriers: "np.ndarray",
+    words: "np.ndarray",
+) -> None:
+    """Add the machine-determined buckets of ``cohort`` shape-identical
+    invocations to ``table``.
+
+    ``spans[i]`` is the cohort's summed span of iteration ``i``;
+    ``barriers[i]`` (recorded waits and signals) and ``words[i]``
+    (transferred words) are fixed by the shared shape.  Iteration ``i``
+    runs on core ``i mod cores``, so each core's compute is its
+    iterations' spans plus one barrier per recorded wait/signal, and
+    its transfer time is its iterations' words at the per-word cost;
+    every core pays the configuration and core 0 the collection.
+    """
+    cores = machine.cores
+    bar = 0 if machine.total_store_ordering else machine.barrier_cycles
+    xfr = machine.word_transfer_cycles
+    conf = machine.config_cycles_per_thread * max(cores - 1, 1)
+    n = len(spans)
+    for core in range(cores):
+        row = table[core]
+        row["config"] += conf * cohort
+        if core < n:
+            row["compute"] += int(spans[core::cores].sum()) + (
+                bar * cohort * int(barriers[core::cores].sum())
+            )
+            row["transfer"] += xfr * cohort * int(words[core::cores].sum())
+    table[0]["collect"] += (machine.signal_latency + cores - 1) * cohort
+
+
 def _schedule_cohort(
     traces: List[CompactInvocationTrace],
     loop: ParallelizedLoop,
     machines: Sequence[MachineConfig],
+    accounts: Optional[Dict[int, CoreTable]] = None,
 ) -> List[List[ScheduleResult]]:
     """Schedule a cohort of shape-identical traces under every machine.
 
@@ -835,7 +1113,11 @@ def _schedule_cohort(
     index (see :func:`trace_signature` for why that is sound).
 
     Returns ``out[c][mi]``, field-exact with
-    ``schedule_compact(traces[c], loop, machines[mi])``.
+    ``schedule_compact(traces[c], loop, machines[mi])``.  For each
+    machine index in ``accounts`` the cohort's per-core cycles are added
+    to that table: stalls and signal waits from ``(cores, cohort)``
+    matrices kept during the walk, everything else in closed form
+    (:func:`_account_closed_form`).  Other machines account nothing.
     """
     import numpy as np
 
@@ -868,6 +1150,22 @@ def _schedule_cohort(
     out: List[List[Optional[ScheduleResult]]] = [
         [None] * count for _ in range(cohort)
     ]
+
+    if accounts:
+        col_spans = sp.sum(axis=0)
+        kinds = np.frombuffer(traces[0].ev_kind, dtype=np.int64)
+        barriers = _iteration_totals(
+            (kinds == KIND_WAIT) | (kinds == KIND_SIGNAL), traces[0].ev_off
+        )
+        ops = np.frombuffer(prog.op, dtype=np.int64)
+        words = _iteration_totals(
+            np.where(ops == OP_XFER, np.frombuffer(prog.a1, dtype=np.int64), 0),
+            prog.off,
+        )
+        for mi, table in accounts.items():
+            _account_closed_form(
+                table, machines[mi], cohort, col_spans, barriers, words
+            )
 
     if counted and prog.active_ops == 0:
         # Counted DOALL: the closed form vectorizes directly; the busy
@@ -962,9 +1260,20 @@ def _schedule_cohort(
         maxend = np.zeros(cohort, dtype=np.int64)
         prev_next = None
         cur_next = None
+        table = accounts.get(mi) if accounts else None
+        if table is None:
+            stall_rows = [stall] * cores
+            sig_rows = [sigc] * cores
+        else:
+            # Per-core rows, summed into the per-trace totals afterwards.
+            stall_m = np.zeros((cores, cohort), dtype=np.int64)
+            sig_m = np.zeros((cores, cohort), dtype=np.int64)
+            stall_rows = list(stall_m)
+            sig_rows = list(sig_m)
 
         for i in range(n):
             core = i % cores
+            core_stall = stall_rows[core]
             need_ctrl = i > 0 and not counted
             if need_ctrl:
                 assert has_next[i - 1], "iteration without start signal"
@@ -997,7 +1306,7 @@ def _schedule_cohort(
                     # The control entry always leads the resolved agenda.
                     pull = np.maximum(t, ts) + lat
                     t = np.minimum(pull, np.maximum(t + fast, pfv[0]))
-                sigc += t - started
+                sig_rows[core] += t - started
 
             ivl = []
             for j in range(off[i], off[i + 1]):
@@ -1021,7 +1330,7 @@ def _schedule_cohort(
                                 np.maximum(t + fast, pfv[pos]),
                                 out=arrival,
                             )
-                    stall += arrival - t
+                    core_stall += arrival - t
                     t = arrival
                     slots_t[a2_[j]] = t
                 elif o == OP_WAIT:
@@ -1083,6 +1392,14 @@ def _schedule_cohort(
                     seg += closed
             prev_next = cur_next
 
+        if table is not None:
+            stall = stall_m.sum(axis=0)
+            sigc = sig_m.sum(axis=0)
+            for core, (core_stall, core_sig) in enumerate(
+                zip(stall_m.sum(axis=1).tolist(), sig_m.sum(axis=1).tolist())
+            ):
+                table[core]["stall"] += core_stall
+                table[core]["signal"] += core_sig
         par = (maxend + (lat + cores - 1)).tolist()
         stall_l = stall.tolist()
         seg_l = seg.tolist()
@@ -1110,6 +1427,7 @@ def schedule_many(
     traces: Sequence[CompactInvocationTrace],
     loops: Sequence[ParallelizedLoop],
     machines: Sequence[MachineConfig],
+    accounts: Optional[Dict[int, CoreTable]] = None,
 ) -> List[List[ScheduleResult]]:
     """Schedule many invocations under many machines in one pass.
 
@@ -1120,6 +1438,13 @@ def schedule_many(
     :data:`_MIN_COHORT` members run through the numpy-vectorized
     :func:`_schedule_cohort` walk, the stragglers through the per-trace
     lockstep engine :func:`schedule_compact_many`.
+
+    ``accounts`` maps machine indexes to :func:`core_table`\\ s that
+    accumulate the per-core cycles of every invocation under that
+    machine (every category but ``sequential``, which lies outside the
+    invocations): cohorts account during their walk, stragglers through
+    :func:`invocation_segments`.  The totals equal the per-core sums of
+    :func:`invocation_segments` over all traces.
     """
     results: List[Optional[List[ScheduleResult]]] = [None] * len(traces)
     if not traces:
@@ -1134,11 +1459,19 @@ def schedule_many(
                 results[idx] = schedule_compact_many(
                     traces[idx], loops[idx], machines
                 )
+                for mi, table in (accounts or {}).items():
+                    account_segments(
+                        table,
+                        invocation_segments(
+                            traces[idx], loops[idx], machines[mi]
+                        ),
+                    )
         else:
             cols = _schedule_cohort(
                 [traces[idx] for idx in members],
                 loops[members[0]],
                 machines,
+                accounts,
             )
             for c, idx in enumerate(members):
                 results[idx] = cols[c]

@@ -1,11 +1,15 @@
 """Recorded invocation traces and their compact ("compiled") form.
 
-The parallel executor records one :class:`InvocationTrace` per dynamic
-invocation of a parallelized loop: per-iteration event streams of
+The parallel executor records one trace per dynamic invocation of a
+parallelized loop: per-iteration event streams of
 ``wait``/``signal``/``next_iter``/``xfer`` executions stamped with
-interpreter cycles.  Those traces are machine-independent, so every
-figure of the evaluation replays them under swept
-:class:`~repro.runtime.machine.MachineConfig`\\ s.
+interpreter cycles, written straight into the columns of a
+:class:`CompactInvocationTrace` (the per-iteration
+:class:`InvocationTrace`/:class:`IterationTrace` form remains as the
+legacy cache format and the reference scheduler's input, see
+:meth:`CompactInvocationTrace.to_invocation_trace`).  Those traces are
+machine-independent, so every figure of the evaluation replays them
+under swept :class:`~repro.runtime.machine.MachineConfig`\\ s.
 
 Replaying from the raw event lists is wasteful: every machine pays the
 per-event string dispatch, the duplicate-wait/duplicate-signal
@@ -308,6 +312,26 @@ class CompactInvocationTrace:
             iterations=iterations,
             loads=self.loads,
         )
+
+    def shift(self, delta: int) -> None:
+        """Move every absolute stamp by ``delta`` cycles, in place.
+
+        Covers the compiled program's ``at`` column too.  Schedulers
+        read stamps only as differences within the trace, so no
+        schedule changes; the executor uses this to move a trace
+        recorded in sequential time to parallel time.
+        """
+        import numpy as np
+
+        self.start_cycles += delta
+        self.end_cycles += delta
+        columns = [self.it_start, self.it_end, self.ev_at]
+        if self._program is not None:
+            columns.append(self._program.at)
+        for column in columns:
+            view = np.frombuffer(column, dtype=np.int64)
+            view += delta
+            del view  # release the buffer export before anyone appends
 
     # -- serialization -----------------------------------------------------
 

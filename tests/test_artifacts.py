@@ -138,3 +138,26 @@ def test_executor_schedules_live_in_store_memo():
     schedules = runner.artifacts.counters()["schedules"]
     assert schedules["memos"] >= 1
     assert schedules["columns"] > 0
+
+
+def test_schedule_memos_die_with_their_runner(tiny_bench):
+    """A store shared across runners (the orchestrator's shape) tracks
+    memos weakly: dropping a runner frees its executor's columns."""
+    import gc
+
+    from repro.evaluation.runner import EvaluationRunner
+
+    store = ArtifactStore()
+    keep = EvaluationRunner(artifacts=store)
+    keep.helix_run(tiny_bench)
+    dropped = EvaluationRunner(artifacts=store)
+    dropped.helix_run(tiny_bench)
+    before = store.counters()["schedules"]
+    assert before["memos"] == 2
+    assert before["machines"] == 2  # each run's baseline column
+
+    del dropped
+    gc.collect()
+    after = store.counters()["schedules"]
+    assert after["memos"] == 1
+    assert after["machines"] == 1

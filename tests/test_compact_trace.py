@@ -163,7 +163,7 @@ class TestExecutorIntegration:
         }
         """
         module = compile_source(source)
-        loop_ids = [l.id for l in find_loops(module.functions["main"])]
+        loop_ids = [loop.id for loop in find_loops(module.functions["main"])]
         machine = MachineConfig(cores=4)
         transformed, infos = parallelize_module(module, loop_ids, machine)
         result = ParallelExecutor(transformed, infos, machine).execute()

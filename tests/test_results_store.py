@@ -3,6 +3,8 @@ exporter (`repro.obs.results` / `repro.obs.prom`)."""
 
 import copy
 import json
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -76,6 +78,44 @@ class TestStore:
         )
         assert c.run_id != a.run_id
         assert len(store.load_runs()) == 2
+
+    def test_concurrent_writers_of_one_run(self, tmp_path):
+        """Two writers recording the same run race on nothing: each
+        writes its own temp file and renames it into place."""
+        store = ResultsStore(tmp_path)
+        # Big enough that the writes overlap between the two threads.
+        report = interp_report(programs=interp_report()["programs"] * 50)
+        start = threading.Barrier(2)
+        errors = []
+
+        def writer():
+            start.wait()
+            try:
+                for _ in range(100):
+                    store.record(
+                        "interp", report, environment=ENV,
+                        metrics={}, created=1.0,
+                    )
+            except Exception as exc:  # pragma: no cover - the bug
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        files = sorted(p.name for p in (tmp_path / "interp").iterdir())
+        assert len(files) == 1 and files[0].endswith(".json")
+        payload = json.loads((tmp_path / "interp" / files[0]).read_text())
+        assert RunRecord.from_dict(payload).report == report
+        assert list(tmp_path.rglob("*.tmp")) == []
 
     def test_run_id_ignores_clock(self):
         a = compute_run_id("interp", interp_report(), "v", ENV)

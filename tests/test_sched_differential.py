@@ -282,9 +282,9 @@ def test_scheduling_work_across_run_replay_cycles(monkeypatch):
     scheduled = []
     real = parallel_mod.schedule_many
 
-    def counting(traces, loops, machines):
+    def counting(traces, loops, machines, **kwargs):
         scheduled.append((len(traces), [m.fingerprint() for m in machines]))
-        return real(traces, loops, machines)
+        return real(traces, loops, machines, **kwargs)
 
     monkeypatch.setattr(parallel_mod, "schedule_many", counting)
     for _ in range(2):

@@ -10,6 +10,7 @@ must never overlap, and the busy+idle accounting must close to
 
 import pytest
 
+import repro.runtime.sched as sched_mod
 from repro.obs.export import chrome_trace, validate_chrome_trace
 from repro.obs.timeline import (
     CATEGORIES,
@@ -19,7 +20,9 @@ from repro.obs.timeline import (
     timeline_block,
     timeline_events,
 )
-from tests.test_sched_differential import MACHINES, SOURCES, _prepare
+from repro.runtime.machine import MachineConfig
+from repro.runtime.parallel import ParallelExecutor
+from tests.test_sched_differential import BASE, MACHINES, SOURCES, _prepare
 
 
 def _assert_no_overlap(segments):
@@ -134,3 +137,87 @@ def test_timeline_events_are_valid_chrome_events():
     assert tracks <= set(range(executor.machine.cores))
     names = {e["name"] for e in events if e["ph"] == "M"}
     assert "process_name" in names and "thread_name" in names
+
+
+def _segment_block(executor, machine):
+    """The timeline block rebuilt from the placed segments (the oracle
+    of the accounting that :func:`timeline_block` reads)."""
+    per_core = core_totals(run_timeline(executor, machine), machine.cores)
+    return {
+        "cores": machine.cores,
+        "total_cycles": executor.cycles
+        if machine.fingerprint() == executor.machine.fingerprint()
+        else None,
+        "per_core": [
+            {"core": i, **per_core[i]} for i in range(machine.cores)
+        ],
+        "totals": {
+            category: sum(row[category] for row in per_core)
+            for category in CATEGORIES
+        },
+    }
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_timeline_block_equals_segment_totals(name):
+    _, _, executor, _ = _prepare(name)
+    for machine in (executor.machine, *MACHINES):
+        assert timeline_block(executor, machine) == _segment_block(
+            executor, machine
+        )
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_cohort_accounting_equals_segment_totals(name, monkeypatch):
+    """Every trace forced through the cohort engine's accounting."""
+    monkeypatch.setattr(sched_mod, "_MIN_COHORT", 1)
+    transformed, infos, _, _ = _prepare(name)
+    executor = ParallelExecutor(transformed, infos, BASE)
+    executor.execute()
+    for machine in (executor.machine, *MACHINES):
+        assert timeline_block(executor, machine) == _segment_block(
+            executor, machine
+        )
+
+
+def test_accounting_refills_a_column_scheduled_without_it():
+    transformed, infos, _, _ = _prepare("repeat_kernel")
+    executor = ParallelExecutor(transformed, infos, BASE)
+    executor.execute()
+    probe = MACHINES[-1]
+    executor.replay(probe)
+    column = list(executor.schedules(probe))
+    assert probe.fingerprint() not in executor._accounts
+    assert timeline_block(executor, probe) == _segment_block(executor, probe)
+    assert executor.schedules(probe) == column
+    # A later sweep pass that refills nothing keeps the table.
+    executor.replay_many([probe, MACHINES[0]])
+    assert probe.fingerprint() in executor._accounts
+
+
+def test_restored_run_accounts_on_first_timeline_request():
+    """A run adopted from the cache has no accounting until a timeline
+    asks; replays before that account nothing."""
+    transformed, infos, executor, result = _prepare("repeat_kernel")
+    restored = ParallelExecutor(transformed, infos, BASE)
+    restored.restore_run(
+        result.result,
+        executor.traces,
+        executor.loop_stats,
+        load_count=executor.load_count,
+    )
+    restored.replay(MACHINES[0])
+    assert restored.schedules() == executor.schedules()
+    assert restored._accounts == {}
+    assert timeline_block(restored) == timeline_block(executor)
+    assert timeline_block(restored) == _segment_block(restored, BASE)
+
+
+def test_timeline_block_total_cycles_by_fingerprint():
+    """An equal machine object passed explicitly is the executing
+    machine: the block carries the run's cycle count."""
+    _, _, executor, _ = _prepare("reduction")
+    equal = MachineConfig(cores=executor.machine.cores)
+    assert equal is not executor.machine
+    assert equal.fingerprint() == executor.machine.fingerprint()
+    assert timeline_block(executor, equal)["total_cycles"] == executor.cycles
